@@ -6,7 +6,7 @@
 JOBS ?= 0
 SMOKE_SCALE ?= 0.02
 
-.PHONY: build test lint lint-audit complexity-report complexity-check check bench bench-micro bench-check bench-smoke bench-wallclock figures-shard clean
+.PHONY: build test lint lint-audit complexity-report complexity-check check bench bench-micro bench-check alloc-check bench-smoke bench-wallclock figures-shard clean
 
 build:
 	dune build
@@ -60,6 +60,7 @@ check:
 	$(MAKE) lint-audit
 	$(MAKE) complexity-check
 	$(MAKE) bench-check
+	$(MAKE) alloc-check
 	$(MAKE) bench-smoke
 
 # The full benchmark harness (micro + opcost + ablations + figures).
@@ -78,6 +79,20 @@ bench-micro: build
 # (e.g. an O(n) idle walk reappearing in an O(active) scan).
 bench-check: build
 	dune exec bench/bench_micro_main.exe -- --check BENCH_micro.json
+
+# Allocation gate on the repository benchmark's poll-heavy workload:
+# run one paper-501 repetition (seed 42) and fail if it allocates more
+# minor-heap words than the ceiling committed in BENCH_alloc.json (the
+# measured value + 3 %). Unlike wall time, allocation does not move
+# with machine load, so the margin is narrow.
+alloc-check: build
+	./_build/default/perfbench/perfbench_main.exe --workload paper-501 --seed 42 \
+	  > /tmp/alloc_check.json
+	@python3 -c 'import json, sys; \
+	got = json.load(open("/tmp/alloc_check.json"))["host"]["alloc_mwords"]["value"]; \
+	cap = json.load(open("BENCH_alloc.json"))["ceiling"]; \
+	print("alloc-check: paper-501 allocates %.1f Mwords (ceiling %.1f)" % (got, cap)); \
+	sys.exit(1 if got > cap else 0)'
 
 # Sequential-vs-parallel wall-clock for the reference figure set;
 # refreshes BENCH_wallclock.json at the repo root.

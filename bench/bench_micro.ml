@@ -9,7 +9,7 @@ open Sio_kernel
 
 let heap_push_pop =
   Test.make ~name:"heap push+pop (1k live)"
-    (let h = Heap.create ~leq:(fun (a : int) b -> a <= b) () in
+    (let h = Heap.create ~leq:(fun (a : int) b -> a <= b) ~dummy:0 () in
      for i = 0 to 999 do
        Heap.push h i
      done;
@@ -88,6 +88,23 @@ let pset_scan n =
          Poll.Pset.wait_set set ~timeout:(Some Time.zero) ~k:(fun _ -> ());
          Engine.run engine))
 
+(* The ready-heavy regime a poll server lives in past its knee: most
+   of the set stays ready between scans (nothing reads), so the scan
+   reports every ready entry from its cached probe. *)
+let pset_scan_ready n k =
+  Test.make ~name:(Printf.sprintf "poll pset scan, %d fds, %d ready" n k)
+    (let engine, host, sockets = zero_env n in
+     let set = Poll.Pset.create ~host ~lookup:(Hashtbl.find_opt sockets) () in
+     for fd = 0 to n - 1 do
+       Poll.Pset.set set fd Pollmask.pollin
+     done;
+     for fd = 0 to k - 1 do
+       ignore (Socket.deliver (Hashtbl.find sockets fd) ~bytes_len:1 ~payload:"")
+     done;
+     Staged.stage (fun () ->
+         Poll.Pset.wait_set set ~timeout:(Some Time.zero) ~k:(fun _ -> ());
+         Engine.run engine))
+
 let sset_scan n =
   Test.make ~name:(Printf.sprintf "select sset scan, %d idle fds" n)
     (let engine, host, sockets = zero_env n in
@@ -115,9 +132,67 @@ let ready_set_tests =
   Test.make_grouped ~name:"ready-set"
     [
       pset_scan 1000;
+      pset_scan_ready 1000 800;
       sset_scan 1000;
       devpoll_scan_active 1000 8;
       devpoll_scan_active 1000 64;
+    ]
+
+(* One whole request through a backend, as the servers drive it: the
+   listener turns ready, the server accepts and registers the
+   connection, the request arrives, the server reads it, replies and
+   closes. What the figures pay per reply on the host, minus the
+   network and the load generator. *)
+let whole_request name mk =
+  Test.make ~name
+    (let engine = Engine.create () in
+     let host = Host.create ~engine ~costs:Cost_model.zero () in
+     let proc = Process.create ~host ~fd_limit:1024 ~name:"server" () in
+     let listen_fd =
+       match Kernel.listen proc ~backlog:16 with Ok fd -> fd | Error _ -> assert false
+     in
+     let listener =
+       match Process.lookup_socket proc listen_fd with Some s -> s | None -> assert false
+     in
+     let backend = mk proc in
+     Sio_httpd.Backend.add backend listen_fd Pollmask.pollin;
+     let conn = ref None in
+     let serve events =
+       Ready_buffer.iter events (fun ev ->
+           let fd = ev.Poll.fd in
+           if fd = listen_fd then
+             match Kernel.accept proc listen_fd with
+             | Ok (cfd, sock) ->
+                 Sio_httpd.Backend.add backend cfd Pollmask.pollin;
+                 conn := Some sock
+             | Error _ -> assert false
+           else begin
+             ignore (Kernel.read proc fd);
+             ignore (Kernel.write proc fd ~bytes_len:6144);
+             Sio_httpd.Backend.remove backend fd;
+             ignore (Kernel.close proc fd)
+           end)
+     in
+     let wait () =
+       Sio_httpd.Backend.wait backend ~timeout:(Some Time.zero) ~k:serve;
+       Engine.run engine
+     in
+     Staged.stage (fun () ->
+         ignore (Socket.enqueue_accept listener (Socket.create_established ~host));
+         wait ();
+         (match !conn with
+         | Some sock -> ignore (Socket.deliver sock ~bytes_len:64 ~payload:"")
+         | None -> assert false);
+         wait ()))
+
+let request_tests =
+  Test.make_grouped ~name:"request"
+    [
+      whole_request "whole request (poll)" Sio_httpd.Backend.poll;
+      whole_request "whole request (select)" Sio_httpd.Backend.select;
+      whole_request "whole request (devpoll)" (fun proc ->
+          match Sio_httpd.Backend.devpoll proc with Ok b -> b | Error _ -> assert false);
+      whole_request "whole request (epoll)" (fun proc -> Sio_httpd.Backend.epoll proc);
     ]
 
 let rt_enqueue_dequeue =
@@ -330,6 +405,7 @@ let tests =
       histogram_add;
       fd_map_tests;
       ready_set_tests;
+      request_tests;
       arena_tests;
       data_plane_tests;
       shard_tests;

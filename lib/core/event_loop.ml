@@ -118,9 +118,8 @@ let rec loop t =
     | Via_backend b ->
         Sio_httpd.Backend.wait b ~timeout:(Some (Time.s 10)) ~k:(fun events ->
             if not t.stopped then begin
-              List.iter
-                (fun ev -> dispatch t ev.Sio_httpd.Backend.fd ev.Sio_httpd.Backend.mask)
-                events;
+              Ready_buffer.iter events (fun ev ->
+                  dispatch t ev.Sio_kernel.Poll.fd ev.Sio_kernel.Poll.revents);
               Kernel.yield t.proc (fun () -> loop t)
             end)
     | Via_signals { batch; _ } ->

@@ -1,14 +1,12 @@
 open Sio_sim
 open Sio_kernel
 
-type event = { fd : int; mask : Pollmask.t }
-
 type impl = {
   name : string;
   add : int -> Pollmask.t -> unit;
   modify : int -> Pollmask.t -> unit;
   remove : int -> unit;
-  wait : timeout:Time.t option -> k:(event list -> unit) -> unit;
+  wait : timeout:Time.t option -> k:(Poll.result Ready_buffer.t -> unit) -> unit;
   interest_count : unit -> int;
 }
 
@@ -20,9 +18,6 @@ let modify t fd mask = t.modify fd mask
 let remove t fd = t.remove fd
 let wait t ~timeout ~k = t.wait ~timeout ~k
 let interest_count t = t.interest_count ()
-
-let to_events results =
-  List.map (fun r -> { fd = r.Poll.fd; mask = r.Poll.revents }) results
 
 let poll proc =
   (* User-space interest set; insertion order preserved so the pollfd
@@ -40,8 +35,7 @@ let poll proc =
     add = (fun fd mask -> Poll.Pset.set set fd mask);
     modify = (fun fd mask -> if Poll.Pset.mem set fd then Poll.Pset.set set fd mask);
     remove = (fun fd -> Poll.Pset.remove set fd);
-    wait =
-      (fun ~timeout ~k -> Poll.Pset.wait_set set ~timeout ~k:(fun rs -> k (to_events rs)));
+    wait = (fun ~timeout ~k -> Poll.Pset.wait_set set ~timeout ~k);
     interest_count = (fun () -> Poll.Pset.length set);
   }
 
@@ -67,9 +61,7 @@ let devpoll ?(use_mmap = true) ?(max_events = 64) proc =
               write [ (fd, Pollmask.pollremove) ]);
           wait =
             (fun ~timeout ~k ->
-              ignore
-                (Kernel.devpoll_wait proc dpfd ~max_results:max_events ~timeout
-                   ~k:(fun rs -> k (to_events rs))));
+              ignore (Kernel.devpoll_wait proc dpfd ~max_results:max_events ~timeout ~k));
           interest_count = (fun () -> !count);
         }
 
@@ -80,19 +72,22 @@ let select proc =
       ~lookup:(Process.lookup_socket proc)
       ()
   in
+  (* The three result sets as one event batch. Servers handle events in
+     batch order, so the order is simulation-visible. *)
   let to_events result =
     let events = ref [] in
     Fd_set.iter result.Select.except (fun fd ->
-        events := { fd; mask = Pollmask.pollerr } :: !events);
+        events := { Poll.fd; revents = Pollmask.pollerr } :: !events);
     Fd_set.iter result.Select.writable (fun fd ->
-        events := { fd; mask = Pollmask.pollout } :: !events);
+        events := { Poll.fd; revents = Pollmask.pollout } :: !events);
     Fd_set.iter result.Select.readable (fun fd ->
         match !events with
-        | { fd = fd'; mask } :: rest when fd' = fd ->
-            events := { fd; mask = Pollmask.union mask Pollmask.pollin } :: rest
-        | _ -> events := { fd; mask = Pollmask.pollin } :: !events);
+        | { Poll.fd = fd'; revents } :: rest when fd' = fd ->
+            events := { Poll.fd; revents = Pollmask.union revents Pollmask.pollin } :: rest
+        | _ -> events := { Poll.fd; revents = Pollmask.pollin } :: !events);
     !events
   in
+  let bufs = Ready_buffer.pool () in
   let add fd mask = Select.Sset.add set fd mask in
   {
     name = "select";
@@ -101,7 +96,11 @@ let select proc =
     remove = (fun fd -> Select.Sset.remove set fd);
     wait =
       (fun ~timeout ~k ->
-        Select.Sset.wait_sset set ~timeout ~k:(fun result -> k (to_events result)));
+        Select.Sset.wait_sset set ~timeout ~k:(fun result ->
+            let events = Ready_buffer.acquire bufs in
+            List.iter (Ready_buffer.push events) (to_events result);
+            k events;
+            Ready_buffer.release bufs events));
     interest_count = (fun () -> Select.Sset.interest_count set);
   }
 
@@ -118,7 +117,6 @@ let epoll ?(max_events = 64) proc =
     modify = (fun fd mask -> ignore (Epoll.ctl_mod ep ~fd ~events:mask));
     remove = (fun fd -> ignore (Epoll.ctl_del ep ~fd));
     wait =
-      (fun ~timeout ~k ->
-        Epoll.wait ep ~max_events ~timeout ~k:(fun rs -> k (to_events rs)));
+      (fun ~timeout ~k -> Epoll.wait ep ~max_events ~timeout ~k);
     interest_count = (fun () -> Epoll.interest_count ep);
   }

@@ -10,8 +10,6 @@
 open Sio_sim
 open Sio_kernel
 
-type event = { fd : int; mask : Pollmask.t }
-
 type t
 
 val name : t -> string
@@ -22,9 +20,13 @@ val add : t -> int -> Pollmask.t -> unit
 val modify : t -> int -> Pollmask.t -> unit
 val remove : t -> int -> unit
 
-val wait : t -> timeout:Time.t option -> k:(event list -> unit) -> unit
+val wait : t -> timeout:Time.t option -> k:(Poll.result Ready_buffer.t -> unit) -> unit
 (** Wait for the next batch of events (at most the backend's
-    [max_events] per call). *)
+    [max_events] per call), in interest order for poll and select.
+    The batch is the backend's own reusable buffer, lent to [k]: it is
+    valid until [k] returns and must not be kept. A wait started inside
+    [k] gets a buffer of its own, so it cannot disturb the batch [k]
+    is reading. *)
 
 val interest_count : t -> int
 

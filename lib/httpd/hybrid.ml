@@ -134,7 +134,7 @@ let switch_to_signals t ~k =
   (* Drain anything that became ready between the flush and now; its
      edges predate the flush so no signal will ever announce it. *)
   Backend.wait t.backend ~timeout:(Some Time.zero) ~k:(fun events ->
-      List.iter (fun ev -> handle_fd t ev.Backend.fd) events;
+      Ready_buffer.iter events (fun ev -> handle_fd t ev.Poll.fd);
       t.mode <- Signals;
       k ())
 
@@ -176,8 +176,8 @@ let rec loop t =
     | Polling ->
         Backend.wait t.backend ~timeout:(Some until_sweep) ~k:(fun events ->
             if not t.stopped then begin
-              List.iter (fun ev -> handle_fd t ev.Backend.fd) events;
-              if List.length events < t.config.low_watermark then
+              Ready_buffer.iter events (fun ev -> handle_fd t ev.Poll.fd);
+              if Ready_buffer.length events < t.config.low_watermark then
                 switch_to_signals t ~k:continue
               else continue ()
             end)

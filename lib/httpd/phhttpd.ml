@@ -235,17 +235,11 @@ let rec loop t =
         | Some backend ->
             Backend.wait backend ~timeout:(Some until_sweep) ~k:(fun events ->
                 if not t.stopped then begin
-                  let rec take n l =
-                    match l with
-                    | [] -> []
-                    | _ :: _ when n <= 0 -> []
-                    | x :: rest -> x :: take (n - 1) rest
-                  in
-                  List.iter
-                    (fun ev ->
-                      if ev.Backend.fd = t.listen_fd then accept_pending t
-                      else handle_conn_event t ev.Backend.fd)
-                    (take t.config.max_events_per_iter events);
+                  let n = Stdlib.min t.config.max_events_per_iter (Ready_buffer.length events) in
+                  for i = 0 to n - 1 do
+                    let fd = (Ready_buffer.get events i).Poll.fd in
+                    if fd = t.listen_fd then accept_pending t else handle_conn_event t fd
+                  done;
                   continue ()
                 end))
   end

@@ -80,6 +80,10 @@ let tuple_keys ~population ~seed n =
 let hash_shard ~seed ~shards key =
   Rng.derive ~seed:(Rng.derive ~seed 0x4a11) key land max_int mod shards
 
+(* The departure heap's filler for unused slots, allocated once (see
+   {!Heap.create}). *)
+let no_departure = (Time.zero, 0)
+
 let route ~policy ~shards ?(population = uniform_population)
     ?(est_service = Time.ms 50) ~seed arrivals =
   if shards <= 0 then invalid_arg "Shard_cluster.route: shards must be positive";
@@ -94,7 +98,9 @@ let route ~policy ~shards ?(population = uniform_population)
          departures up to each arrival, then pick the emptiest shard. *)
       let load = Array.make shards 0 in
       let departures =
-        Heap.create ~leq:(fun (ta, _) (tb, _) -> Time.compare ta tb <= 0) ()
+        Heap.create
+          ~leq:(fun (ta, _) (tb, _) -> Time.compare ta tb <= 0)
+          ~dummy:no_departure ()
       in
       Array.map
         (fun at ->

@@ -22,11 +22,6 @@ let default_config =
     max_events_per_iter = 8;
   }
 
-let rec take n = function
-  | [] -> []
-  | _ :: _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
 type t = {
   proc : Process.t;
   backend : Backend.t;
@@ -113,11 +108,11 @@ let rec loop t =
         if not t.stopped then begin
           (* Bounded per-iteration work: anything beyond the cap stays
              ready and reappears in the next level-triggered scan. *)
-          List.iter
-            (fun ev ->
-              if ev.Backend.fd = t.listen_fd then accept_pending t
-              else handle_conn_event t ev.Backend.fd)
-            (take t.config.max_events_per_iter events);
+          let n = Stdlib.min t.config.max_events_per_iter (Ready_buffer.length events) in
+          for i = 0 to n - 1 do
+            let fd = (Ready_buffer.get events i).Poll.fd in
+            if fd = t.listen_fd then accept_pending t else handle_conn_event t fd
+          done;
           if now t >= t.next_sweep then sweep t;
           Kernel.yield t.proc (fun () -> loop t)
         end)

@@ -24,7 +24,7 @@ type t = {
          hint_skips. Scans visit only this set on the host and charge
          the idle majority analytically. *)
   wq : Socket.waiter Wait_queue.t; (* sleepers inside dp_poll *)
-  ready : Poll.result Ready_buffer.t; (* reused by every scan *)
+  bufs : Poll.result Ready_buffer.pool; (* result buffers lent to waiters *)
   mutable result_slots : int option;
   mutable closed : bool;
 }
@@ -38,7 +38,7 @@ let create ~host ~lookup =
     subs = Fd_map.create ~initial_capacity:64 ();
     active = Fd_map.create ~initial_capacity:64 ();
     wq = Wait_queue.create ();
-    ready = Ready_buffer.create ~initial_capacity:64 ();
+    bufs = Ready_buffer.pool ();
     result_slots = None;
     closed = false;
   }
@@ -210,9 +210,9 @@ let charge_idle t count =
     counters.Host.hint_skips <- counters.Host.hint_skips + count
   end
 
-(* Fill the reusable result buffer, stopping — probes and table walk
-   both — the moment it is full. Returns the ready count; the buffer
-   stays valid until the next scan on this instance.
+(* Fill the result buffer (cleared here), stopping — probes and table
+   walk both — the moment it holds [max_results]. Returns the ready
+   count.
 
    Host cost is O(active): when nothing is active the whole table is
    one analytic charge; otherwise the walk skips idle-certified
@@ -221,8 +221,8 @@ let charge_idle t count =
    tail in bulk. Charged nanoseconds and counters are identical to the
    full walk — only the charge *order* within the scan differs, and
    Cpu.consume is additive with no engine interleaving mid-scan. *)
-let[@complexity "O(active)"] scan t ~max_results =
-  Ready_buffer.clear t.ready;
+let[@complexity "O(active)"] scan t ~max_results ready =
+  Ready_buffer.clear ready;
   let total = Interest_table.length t.table in
   if Fd_map.length t.active = 0 then begin
     charge_idle t total;
@@ -233,7 +233,7 @@ let[@complexity "O(active)"] scan t ~max_results =
     let visited = ref 0 in
     let idle_seen = ref 0 in
     Interest_table.iter_while t.table ~f:(fun interest ->
-        if Ready_buffer.length t.ready >= max_results then false
+        if Ready_buffer.length ready >= max_results then false
         else if !remaining = 0 then false
         else begin
           incr visited;
@@ -243,17 +243,17 @@ let[@complexity "O(active)"] scan t ~max_results =
             decr remaining;
             let revents = probe t interest in
             if not (Pollmask.is_empty revents) then
-              Ready_buffer.push t.ready { Poll.fd = interest.Interest_table.fd; revents }
+              Ready_buffer.push ready { Poll.fd = interest.Interest_table.fd; revents }
           end
           else incr idle_seen;
           true
         end);
     (* The unvisited tail is all idle — but only charge it if the
        buffer has room: a full buffer stops the real walk cold. *)
-    if Ready_buffer.length t.ready < max_results then
+    if Ready_buffer.length ready < max_results then
       idle_seen := !idle_seen + (total - !visited);
     charge_idle t !idle_seen;
-    Ready_buffer.length t.ready
+    Ready_buffer.length ready
   end
 
 let[@complexity "O(active)"] dp_poll t ~max_results ~timeout ~k =
@@ -263,26 +263,28 @@ let[@complexity "O(active)"] dp_poll t ~max_results ~timeout ~k =
   let counters = t.host.Host.counters in
   counters.Host.syscalls <- counters.Host.syscalls + 1;
   ignore (Host.charge t.host costs.Cost_model.syscall_entry);
-  let finish results =
+  let ready = Ready_buffer.acquire t.bufs in
+  let finish () =
     (* With the shared mapping there is nothing to copy out. *)
     if t.result_slots = None then
       ignore
         (Host.charge t.host
-           (Time.mul costs.Cost_model.poll_copyout_per_ready (List.length results)));
-    Host.charge_run t.host ~cost:Time.zero (fun () -> k results)
+           (Time.mul costs.Cost_model.poll_copyout_per_ready (Ready_buffer.length ready)));
+    (* The buffer is lent to [k]; a DP_POLL issued inside [k] gets
+       another one, so this batch survives it. *)
+    Host.charge_run t.host ~cost:Time.zero (fun () ->
+        k ready;
+        Ready_buffer.release t.bufs ready)
   in
-  (* The reusable buffer must be materialized before [finish] hands
-     control away: the continuation may re-enter dp_poll and rescan. *)
-  let finish_ready () = finish (Ready_buffer.to_list t.ready) in
   let cap =
     match t.result_slots with
     | Some slots -> Stdlib.min max_results slots
     | None -> max_results
   in
-  if scan t ~max_results:cap > 0 then finish_ready ()
+  if scan t ~max_results:cap ready > 0 then finish ()
   else
     match timeout with
-    | Some x when x <= Time.zero -> finish []
+    | Some x when x <= Time.zero -> finish ()
     | _ ->
         let timer = ref None in
         let waiter_ref = ref None in
@@ -298,7 +300,7 @@ let[@complexity "O(active)"] dp_poll t ~max_results ~timeout ~k =
         in
         let rec on_wake _mask =
           cleanup ();
-          if scan t ~max_results:cap > 0 then finish_ready ()
+          if scan t ~max_results:cap ready > 0 then finish ()
           else begin
             let w = { Socket.wake = on_wake } in
             waiter_ref := Some w;
@@ -314,7 +316,7 @@ let[@complexity "O(active)"] dp_poll t ~max_results ~timeout ~k =
                   (Engine.after t.host.Host.engine x (fun () ->
                        timer := None;
                        cleanup ();
-                       finish []))
+                       finish ()))
         in
         let w = { Socket.wake = on_wake } in
         waiter_ref := Some w;

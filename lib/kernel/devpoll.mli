@@ -52,11 +52,13 @@ val dp_poll :
   t ->
   max_results:int ->
   timeout:Time.t option ->
-  k:(Poll.result list -> unit) ->
+  k:(Poll.result Ready_buffer.t -> unit) ->
   unit
 (** ioctl(DP_POLL): scan the interest set and return up to
     [max_results] ready descriptors; sleep when none are ready
-    ([timeout] as in {!Poll.wait}). *)
+    ([timeout] as in {!Poll.wait}). The results arrive in a buffer the
+    instance lends to [k]: valid until [k] returns, and a DP_POLL
+    issued inside [k] gets a buffer of its own. *)
 
 val interest_count : t -> int
 val find_interest : t -> int -> Interest_table.interest option

@@ -26,6 +26,8 @@ type t = {
   key : int; (* attach key naming this instance's interests *)
   watched : Socket.t Fd_map.t; (* fd -> socket at registration time *)
   ready : int Queue.t;
+  batch : interest Ready_buffer.t; (* harvest's level-triggered survivors *)
+  bufs : Poll.result Ready_buffer.pool; (* result buffers lent to waiters *)
   wq : Socket.waiter Wait_queue.t;
   mutable closed : bool;
 }
@@ -37,6 +39,8 @@ let create ~host ~lookup =
     key = Socket.new_attach_key ();
     watched = Fd_map.create ~initial_capacity:64 ();
     ready = Queue.create ();
+    batch = Ready_buffer.create ();
+    bufs = Ready_buffer.pool ();
     wq = Wait_queue.create ();
     closed = false;
   }
@@ -131,14 +135,13 @@ let ctl_del t ~fd =
       (* A stale ready-list entry is dropped lazily at the next wait. *)
       Ok ()
 
-(* Pop up to [max] valid ready entries, validating each against the
-   driver: O(ready), never O(interests). *)
-let[@complexity "O(ready)"] harvest t ~max_events =
-  let results = ref [] in
-  let n = ref 0 in
-  let requeue = ref [] in
-  let continue = ref true in
-  while !continue && !n < max_events && not (Queue.is_empty t.ready) do
+(* Pop up to [max_events] valid ready entries into [results] (cleared
+   here), validating each against the driver: O(ready), never
+   O(interests). Returns how many it found. *)
+let[@complexity "O(ready)"] harvest t ~max_events results =
+  Ready_buffer.clear results;
+  Ready_buffer.clear t.batch;
+  while Ready_buffer.length results < max_events && not (Queue.is_empty t.ready) do
     let fd = Queue.take t.ready in
     match Fd_map.find t.watched fd with
     | None -> () (* deleted while queued *)
@@ -149,8 +152,7 @@ let[@complexity "O(ready)"] harvest t ~max_events =
         match t.lookup fd with
         | None ->
             (* Descriptor closed while queued: report NVAL once. *)
-            results := { Poll.fd; revents = Pollmask.pollnval } :: !results;
-            incr n
+            Ready_buffer.push results { Poll.fd; revents = Pollmask.pollnval }
         | Some sock when Socket.id sock <> Socket.id registered ->
             (* fd reused by a different socket; epoll keys on the open
                file, so the old interest is dead. *)
@@ -175,20 +177,21 @@ let[@complexity "O(ready)"] harvest t ~max_events =
                 interest.pending <- Pollmask.empty;
                 if Pollmask.is_empty revents then () (* stale: readiness evaporated *)
                 else begin
-                  results := { Poll.fd; revents } :: !results;
-                  incr n;
+                  Ready_buffer.push results { Poll.fd; revents };
                   (* Level-triggered and still ready: stays on the list. *)
-                  if interest.trigger = Level then requeue := interest :: !requeue
+                  if interest.trigger = Level then Ready_buffer.push t.batch interest
                 end))
   done;
-  List.iter
-    (fun interest ->
-      if not interest.queued then begin
-        interest.queued <- true;
-        Queue.add interest.fd t.ready
-      end)
-    !requeue;
-  List.rev !results
+  (* Requeue in reverse harvest order: the ready list's order decides
+     which descriptors later waits report, so it is simulation-visible. *)
+  for i = Ready_buffer.length t.batch - 1 downto 0 do
+    let interest = Ready_buffer.get t.batch i in
+    if not interest.queued then begin
+      interest.queued <- true;
+      Queue.add interest.fd t.ready
+    end
+  done;
+  Ready_buffer.length results
 
 let[@complexity "O(ready)"] wait t ~max_events ~timeout ~k =
   if t.closed then invalid_arg "Epoll.wait: closed";
@@ -197,17 +200,20 @@ let[@complexity "O(ready)"] wait t ~max_events ~timeout ~k =
   let counters = t.host.Host.counters in
   counters.Host.syscalls <- counters.Host.syscalls + 1;
   ignore (Host.charge t.host costs.Cost_model.syscall_entry);
-  let finish results =
+  let results = Ready_buffer.acquire t.bufs in
+  let finish () =
     ignore
       (Host.charge t.host
-         (Time.mul costs.Cost_model.poll_copyout_per_ready (List.length results)));
-    Host.charge_run t.host ~cost:Time.zero (fun () -> k results)
+         (Time.mul costs.Cost_model.poll_copyout_per_ready (Ready_buffer.length results)));
+    (* Lent to [k]; an epoll_wait inside [k] gets a buffer of its own. *)
+    Host.charge_run t.host ~cost:Time.zero (fun () ->
+        k results;
+        Ready_buffer.release t.bufs results)
   in
-  let first = harvest t ~max_events in
-  if first <> [] then finish first
+  if harvest t ~max_events results > 0 then finish ()
   else
     match timeout with
-    | Some x when x <= Time.zero -> finish []
+    | Some x when x <= Time.zero -> finish ()
     | _ ->
         let timer = ref None in
         let waiter_ref = ref None in
@@ -223,8 +229,7 @@ let[@complexity "O(ready)"] wait t ~max_events ~timeout ~k =
         in
         let rec on_wake _mask =
           cleanup ();
-          let results = harvest t ~max_events in
-          if results <> [] then finish results
+          if harvest t ~max_events results > 0 then finish ()
           else begin
             let w = { Socket.wake = on_wake } in
             waiter_ref := Some w;
@@ -240,7 +245,7 @@ let[@complexity "O(ready)"] wait t ~max_events ~timeout ~k =
                   (Engine.after t.host.Host.engine x (fun () ->
                        timer := None;
                        cleanup ();
-                       finish []))
+                       finish ()))
         in
         let w = { Socket.wake = on_wake } in
         waiter_ref := Some w;

@@ -36,12 +36,15 @@ val wait :
   t ->
   max_events:int ->
   timeout:Time.t option ->
-  k:(Poll.result list -> unit) ->
+  k:(Poll.result Ready_buffer.t -> unit) ->
   unit
 (** Pops up to [max_events] entries off the ready list, validating
     each against the driver (a stale entry whose readiness evaporated
     is dropped, per real epoll). Level-triggered descriptors that
-    remain ready are re-queued. Blocks when the list is empty. *)
+    remain ready are re-queued. Blocks when the list is empty. The
+    results arrive in a buffer the instance lends to [k]: valid until
+    [k] returns, and a wait issued inside [k] gets a buffer of its
+    own. *)
 
 val interest_count : t -> int
 val ready_count : t -> int

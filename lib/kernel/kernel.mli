@@ -102,7 +102,7 @@ val devpoll_wait :
   int ->
   max_results:int ->
   timeout:Time.t option ->
-  k:(Poll.result list -> unit) ->
+  k:(Poll.result Ready_buffer.t -> unit) ->
   (unit, [ `Ebadf ]) result
 
 (** {1 RT signals} *)

@@ -33,12 +33,13 @@ val scan_cost : host:Host.t -> n_interests:int -> Time.t
 
 (** A persistent poll set (the interest list a server re-submits every
     loop iteration), kept between calls so the host-side scan is
-    O(active) while the charged costs, operation counters, result
+    O(changed) while the charged costs, operation counters, result
     contents, and result order stay identical to {!wait} over the same
-    interests in insertion order. Idle descriptors (last seen
-    not-ready on a live socket) are charged analytically via
-    {!Cost_model.charge_batch}; socket watchers re-activate them on
-    any readiness edge. *)
+    interests in insertion order. Each entry caches its last probe;
+    socket watchers mark it dirty on every status change, so a scan
+    re-probes only dirty entries, charges the clean ones analytically
+    via {!Cost_model.charge_batch}, and reports the ready ones from
+    their cached answers. *)
 module Pset : sig
   type pset
 
@@ -54,13 +55,13 @@ module Pset : sig
   val length : pset -> int
 
   val active_fds : pset -> int list
-  (** Non-idle-certified fds, ascending; test hook for the churn
-      equivalence property. *)
-
-  val scan_set : pset -> int
-  (** One charged scan pass (exposed for cost-equivalence tests). *)
+  (** The dirty fds (cached probe possibly stale), ascending; test hook
+      for the churn equivalence property. *)
 
   val wait_set :
-    pset -> timeout:Time.t option -> k:(result list -> unit) -> unit
-  (** One poll() call over the set; contract as {!wait}. *)
+    pset -> timeout:Time.t option -> k:(result Ready_buffer.t -> unit) -> unit
+  (** One poll() call over the set; contract as {!wait}, except that the
+      results arrive in a buffer the set lends to [k]. The buffer is
+      valid until [k] returns; a wait started inside [k] gets a buffer
+      of its own. *)
 end

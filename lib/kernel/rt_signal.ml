@@ -25,6 +25,9 @@ type queue = {
   mutable waiter_max : int Queue.t; (* parallel queue of batch sizes *)
 }
 
+(* The heap's filler for unused slots, allocated once (see {!Heap.create}). *)
+let filler = { info = { signo = 0; fd = 0; band = Pollmask.empty }; seq = 0 }
+
 let entry_leq a b =
   a.info.signo < b.info.signo || (a.info.signo = b.info.signo && a.seq <= b.seq)
 
@@ -33,7 +36,8 @@ let create_queue ~host ?(limit = 1024) () =
   {
     host;
     limit;
-    heap = Heap.create ~leq:entry_leq ();
+    heap =
+      Heap.create ~leq:entry_leq ~dummy:filler ();
     next_seq = 0;
     sigio = false;
     key = Socket.new_attach_key ();

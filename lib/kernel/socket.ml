@@ -442,6 +442,7 @@ let read_all t =
     let a = arena t in
     let bytes = a.Conn_arena.rcv_level.{t.slot} in
     a.Conn_arena.rcv_level.{t.slot} <- 0;
+    if bytes > 0 then notify_watchers t;
     let text =
       match cold_opt t with
       | Some { payload = Some b; _ } ->
@@ -453,18 +454,25 @@ let read_all t =
     (bytes, text)
   end
 
+(* Fill the send buffer by up to [n] bytes on a live, writable socket.
+   Filling it to the brim clears POLLOUT, a status change watchers
+   must see. *)
+let claim_send_space t n =
+  let a = arena t in
+  let slot = t.slot in
+  let level = a.Conn_arena.snd_level.{slot} in
+  let room = a.Conn_arena.snd_cap.{slot} - level in
+  let accepted = Stdlib.min n room in
+  a.Conn_arena.snd_level.{slot} <- level + accepted;
+  if accepted > 0 && accepted = room then notify_watchers t;
+  accepted
+
 let write_reserve t n =
   if n < 0 then invalid_arg "Sock_buf.push: negative size";
   if not (live t) then 0
   else begin
-    let a = arena t in
-    let slot = t.slot in
-    match a.Conn_arena.st.{slot} with
-    | 2 | 3 ->
-        let level = a.Conn_arena.snd_level.{slot} in
-        let accepted = Stdlib.min n (a.Conn_arena.snd_cap.{slot} - level) in
-        a.Conn_arena.snd_level.{slot} <- level + accepted;
-        accepted
+    match (arena t).Conn_arena.st.{t.slot} with
+    | 2 | 3 -> claim_send_space t n
     | _ -> 0
   end
 
@@ -514,9 +522,7 @@ let ring_reserve t n ~copy_bytes =
       let slot = t.slot in
       (match a.Conn_arena.st.{slot} with
       | 2 | 3 ->
-          let level = a.Conn_arena.snd_level.{slot} in
-          let accepted = Stdlib.min n (a.Conn_arena.snd_cap.{slot} - level) in
-          a.Conn_arena.snd_level.{slot} <- level + accepted;
+          let accepted = claim_send_space t n in
           let mapped = Stdlib.max 0 (accepted - copy_bytes) in
           let pages = Zc_ring.map r ~bytes:mapped in
           Some (accepted, pages)
@@ -524,7 +530,14 @@ let ring_reserve t n ~copy_bytes =
 
 let accept_pop t =
   if live t && (arena t).Conn_arena.st.{t.slot} = st_listening then
-    match cold_opt t with Some c -> Queue.take_opt c.accept_q | None -> None
+    match cold_opt t with
+    | Some c ->
+        let peer = Queue.take_opt c.accept_q in
+        (match peer with
+        | Some _ when Queue.is_empty c.accept_q -> notify_watchers t
+        | Some _ | None -> ());
+        peer
+    | None -> None
   else None
 
 let accept_queue_length t =

@@ -75,12 +75,16 @@ val unsubscribe : t -> int -> unit
 
 val add_watcher : t -> (unit -> unit) -> int
 (** [add_watcher s f] registers a host-only callback invoked whenever
-    the socket's readiness may have changed: at the top of every posted
-    edge (before the wait queue wakes, so a sleeper's synchronous
-    rescan already sees the watcher's effects) and when hint support is
-    toggled. Watchers carry zero modeled cost — they exist so backends
-    can maintain incremental ready sets without touching the charged
-    observer path. Returns a token for {!remove_watcher}. *)
+    the socket's readiness may have changed. It fires on every change
+    of {!status}: at the top of every posted edge (before the wait
+    queue wakes, so a sleeper's synchronous rescan already sees the
+    watcher's effects), and on the changes that post no edge — a
+    {!read_all} that drains data, a {!write_reserve} or {!ring_reserve}
+    that fills the send buffer, an {!accept_pop} that empties the
+    accept queue. It also fires when hint support is toggled. Watchers
+    carry zero modeled cost — they exist so backends can maintain
+    incremental ready sets and cached probes without touching the
+    charged observer path. Returns a token for {!remove_watcher}. *)
 
 val remove_watcher : t -> int -> unit
 

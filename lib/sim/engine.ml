@@ -22,22 +22,21 @@ let after e d f = at e (Time.add e.clock (Stdlib.max 0 d)) f
 let cancel e h = Event_queue.cancel e.queue h
 
 let step e =
-  match Event_queue.next_time e.queue with
-  | None -> false
-  | Some t -> (
-      e.clock <- Stdlib.max e.clock t;
-      match Event_queue.pop_due e.queue ~now:e.clock with
-      | None -> false
-      | Some action ->
-          e.executed <- e.executed + 1;
-          action ();
-          true)
+  let t = Event_queue.peek_time e.queue in
+  if t < 0 then false
+  else begin
+    e.clock <- Stdlib.max e.clock t;
+    let action = Event_queue.pop_next e.queue in
+    e.executed <- e.executed + 1;
+    action ();
+    true
+  end
 
 let run ?until e =
+  let horizon = match until with Some h -> h | None -> max_int in
   let continue () =
-    match Event_queue.next_time e.queue with
-    | None -> false
-    | Some t -> ( match until with None -> true | Some horizon -> t <= horizon)
+    let t = Event_queue.peek_time e.queue in
+    t >= 0 && t <= horizon
   in
   while continue () do
     ignore (step e)

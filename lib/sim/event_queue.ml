@@ -23,13 +23,18 @@ type t = {
   mutable live : int;
 }
 
+(* The heap's filler for unused slots. Allocated once, so it is an old
+   value by the time any heap grows: filling a large array with a young
+   value would force a minor collection on every growth. *)
+let filler = { time = 0; seq = 0; slot = 0; gen = 0; action = ignore }
+
 let create ?(initial_capacity = 16) () =
   let initial_capacity = Stdlib.max 1 initial_capacity in
   {
     heap =
       Heap.create ~initial_capacity
         ~leq:(fun a b -> a.time < b.time || (a.time = b.time && a.seq <= b.seq))
-        ();
+        ~dummy:filler ();
     cells = Array.make initial_capacity 0;
     free = Array.make initial_capacity 0;
     free_len = 0;
@@ -95,26 +100,33 @@ let is_pending q h =
   h >= 0 && slot < q.high_water && q.cells.(slot) = (gen lsl 2) lor state_pending
 
 let rec drop_cancelled q =
-  match Heap.peek q.heap with
-  | Some e when q.cells.(e.slot) land 3 = state_cancelled ->
-      let _ = Heap.pop q.heap in
+  if not (Heap.is_empty q.heap) then begin
+    let e = Heap.top q.heap in
+    if q.cells.(e.slot) land 3 = state_cancelled then begin
+      ignore (Heap.pop_exn q.heap);
       free_slot q e.slot;
       drop_cancelled q
-  | Some _ | None -> ()
+    end
+  end
+
+let peek_time q =
+  drop_cancelled q;
+  if Heap.is_empty q.heap then -1 else (Heap.top q.heap).time
+
+let pop_next q =
+  drop_cancelled q;
+  let e = Heap.pop_exn q.heap in
+  free_slot q e.slot;
+  q.live <- q.live - 1;
+  e.action
 
 let next_time q =
-  drop_cancelled q;
-  match Heap.peek q.heap with Some e -> Some e.time | None -> None
+  let t = peek_time q in
+  if t < 0 then None else Some t
 
 let pop_due q ~now =
-  drop_cancelled q;
-  match Heap.peek q.heap with
-  | Some e when e.time <= now ->
-      let _ = Heap.pop q.heap in
-      free_slot q e.slot;
-      q.live <- q.live - 1;
-      Some e.action
-  | Some _ | None -> None
+  let t = peek_time q in
+  if t >= 0 && t <= now then Some (pop_next q) else None
 
 let length q = q.live
 let is_empty q = q.live = 0

@@ -32,6 +32,14 @@ val is_pending : t -> handle -> bool
     cancelled and not yet fired. Events that already fired answer
     [false]. *)
 
+val peek_time : t -> Time.t
+(** Time of the earliest live event, skipping cancelled ones; negative
+    when none is queued. The allocation-free form of {!next_time}. *)
+
+val pop_next : t -> unit -> unit
+(** Removes the earliest live event and returns its action. Raises
+    [Invalid_argument] when none is queued ({!peek_time} is negative). *)
+
 val next_time : t -> Time.t option
 (** Time of the earliest live event, skipping cancelled ones. *)
 

@@ -7,9 +7,12 @@
 
 type 'a t
 
-val create : ?initial_capacity:int -> leq:('a -> 'a -> bool) -> unit -> 'a t
-(** [create ~leq ()] is an empty heap ordered by [leq]. [leq a b] must
-    hold when [a] should be popped no later than [b]. *)
+val create : ?initial_capacity:int -> leq:('a -> 'a -> bool) -> dummy:'a -> unit -> 'a t
+(** [create ~leq ~dummy ()] is an empty heap ordered by [leq]. [leq a b]
+    must hold when [a] should be popped no later than [b]. [dummy] fills
+    the unused slots of the backing array; it is never returned. Pass a
+    long-lived value (a toplevel constant): growing a large array
+    filled with a freshly allocated one costs a minor collection. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
@@ -18,6 +21,10 @@ val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
 (** [peek h] is the minimum element without removing it. *)
+
+val top : 'a t -> 'a
+(** Like {!peek}, without the option. Raises [Invalid_argument] on an
+    empty heap. *)
 
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the minimum element. *)

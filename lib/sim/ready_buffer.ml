@@ -43,3 +43,27 @@ let fold t ~init ~f =
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
   go (t.len - 1) []
+
+(* Free buffers, stacked in a plain array so lending and returning one
+   allocates nothing once the pool has grown to its nesting depth. *)
+type 'a pool = { mutable free : 'a t array; mutable n_free : int }
+
+let pool () = { free = [||]; n_free = 0 }
+
+let acquire p =
+  if p.n_free = 0 then create ()
+  else begin
+    p.n_free <- p.n_free - 1;
+    let b = p.free.(p.n_free) in
+    clear b;
+    b
+  end
+
+let release p b =
+  if p.n_free = Array.length p.free then begin
+    let free = Array.make (Stdlib.max 2 (2 * p.n_free)) b in
+    Array.blit p.free 0 free 0 p.n_free;
+    p.free <- free
+  end;
+  p.free.(p.n_free) <- b;
+  p.n_free <- p.n_free + 1

@@ -41,3 +41,24 @@ val fold : 'a t -> init:'acc -> f:('acc -> 'a -> 'acc) -> 'acc
 val to_list : 'a t -> 'a list
 (** Elements in push order, freshly allocated — the bridge to
     list-shaped APIs at module boundaries. *)
+
+(** {1 Lending buffers across continuations}
+
+    A wait that hands its results to a continuation lends the buffer
+    for as long as the continuation runs. A pool gives each wait its
+    own buffer: a wait started inside another wait's continuation
+    (a nested wait) gets a second buffer, so the outer batch stays
+    intact. In steady state every buffer comes back and nothing is
+    allocated. *)
+
+type 'a pool
+
+val pool : unit -> 'a pool
+
+val acquire : 'a pool -> 'a t
+(** A cleared buffer no one else holds: a returned one if any, else a
+    fresh one. *)
+
+val release : 'a pool -> 'a t -> unit
+(** Return a buffer acquired from this pool. Its holder must not read
+    it afterwards. *)

@@ -42,7 +42,8 @@ let test_poll_returns_ready () =
   Devpoll.write env.dev [ (4, Pollmask.pollin) ];
   ignore (Socket.deliver s ~bytes_len:10 ~payload:"");
   let got = ref None in
-  Devpoll.dp_poll env.dev ~max_results:16 ~timeout:None ~k:(fun rs -> got := Some rs);
+  Devpoll.dp_poll env.dev ~max_results:16 ~timeout:None
+    ~k:(fun rs -> got := Some (Ready_buffer.to_list rs));
   Engine.run env.engine;
   match !got with
   | Some rs -> Alcotest.check results_testable "ready" [ (4, Pollmask.pollin) ] (as_pairs rs)
@@ -54,6 +55,7 @@ let test_blocks_until_hint () =
   Devpoll.write env.dev [ (1, Pollmask.pollin) ];
   let got_at = ref None in
   Devpoll.dp_poll env.dev ~max_results:16 ~timeout:None ~k:(fun rs ->
+      let rs = Ready_buffer.to_list rs in
       got_at := Some (Engine.now env.engine, as_pairs rs));
   ignore
     (Engine.at env.engine (Time.ms 25) (fun () ->
@@ -73,7 +75,8 @@ let test_max_results_caps () =
   done;
   Devpoll.write env.dev (List.init 10 (fun fd -> (fd, Pollmask.pollin)));
   let got = ref [] in
-  Devpoll.dp_poll env.dev ~max_results:3 ~timeout:None ~k:(fun rs -> got := rs);
+  Devpoll.dp_poll env.dev ~max_results:3 ~timeout:None
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check int) "capped at 3" 3 (List.length !got)
 
@@ -83,6 +86,7 @@ let test_timeout () =
   Devpoll.write env.dev [ (1, Pollmask.pollin) ];
   let got_at = ref None in
   Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some (Time.ms 10)) ~k:(fun rs ->
+      let rs = Ready_buffer.to_list rs in
       got_at := Some (Engine.now env.engine, rs));
   Engine.run env.engine;
   match !got_at with
@@ -97,6 +101,7 @@ let test_missing_fd_reports_nval () =
   Hashtbl.remove env.sockets 1;
   let got = ref None in
   Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs ->
+      let rs = Ready_buffer.to_list rs in
       got := Some (as_pairs rs));
   Engine.run env.engine;
   Alcotest.(check bool) "NVAL" true (!got = Some [ (1, Pollmask.pollnval) ])
@@ -132,7 +137,8 @@ let test_hint_triggers_revalidation () =
   let base = env.host.Host.counters.Host.driver_polls in
   ignore (Socket.deliver s ~bytes_len:4 ~payload:"");
   let got = ref [] in
-  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.check results_testable "hinted fd found ready" [ (7, Pollmask.pollin) ]
     (as_pairs !got);
@@ -152,7 +158,8 @@ let test_ready_cache_always_revalidated () =
      "ready" cache must not be trusted. *)
   let _ = Socket.read_all s in
   let got = ref [ { Poll.fd = -1; revents = Pollmask.empty } ] in
-  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check int) "no longer ready" 0 (List.length !got);
   Alcotest.(check int) "revalidation consulted driver" (base + 1)
@@ -181,7 +188,8 @@ let test_fd_reuse_rebinds_backmap () =
   let s2 = add env 5 in
   ignore (Socket.deliver s2 ~bytes_len:9 ~payload:"");
   let got = ref [] in
-  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.check results_testable "interest applies to new socket"
     [ (5, Pollmask.pollin) ] (as_pairs !got);
@@ -216,7 +224,8 @@ let test_result_map_slots_cap_results () =
   Devpoll.write env.dev (List.init 10 (fun fd -> (fd, Pollmask.pollin)));
   Devpoll.alloc_result_map env.dev ~slots:4;
   let got = ref [] in
-  Devpoll.dp_poll env.dev ~max_results:100 ~timeout:None ~k:(fun rs -> got := rs);
+  Devpoll.dp_poll env.dev ~max_results:100 ~timeout:None
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check int) "capped by mapping size" 4 (List.length !got)
 
@@ -254,8 +263,10 @@ let test_independent_interest_sets () =
   Devpoll.write dev2 [ (2, Pollmask.pollin) ];
   ignore (Socket.deliver s ~bytes_len:1 ~payload:"");
   let got1 = ref [] and got2 = ref [] in
-  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got1 := rs);
-  Devpoll.dp_poll dev2 ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got2 := rs);
+  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> got1 := Ready_buffer.to_list rs);
+  Devpoll.dp_poll dev2 ~max_results:4 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> got2 := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check int) "set 1 sees its event" 1 (List.length !got1);
   Alcotest.(check int) "set 2 sees nothing" 0 (List.length !got2)
@@ -280,7 +291,8 @@ let prop_devpoll_agrees_with_poll =
       let interests = List.init n (fun fd -> (fd, Pollmask.pollin)) in
       Devpoll.write env.dev interests;
       let dp = ref [] and pl = ref [] in
-      Devpoll.dp_poll env.dev ~max_results:n ~timeout:(Some Time.zero) ~k:(fun rs -> dp := rs);
+      Devpoll.dp_poll env.dev ~max_results:n ~timeout:(Some Time.zero)
+        ~k:(fun rs -> dp := Ready_buffer.to_list rs);
       Poll.wait ~host:env.host ~lookup:(Hashtbl.find_opt env.sockets) ~interests
         ~timeout:(Some Time.zero) ~k:(fun rs -> pl := rs);
       Engine.run env.engine;

@@ -45,7 +45,8 @@ let test_ready_event_delivered () =
   ignore (Epoll.ctl_add env.ep ~fd:3 ~events:Pollmask.pollin ());
   ignore (Socket.deliver s ~bytes_len:4 ~payload:"");
   let got = ref [] in
-  Epoll.wait env.ep ~max_events:8 ~timeout:None ~k:(fun rs -> got := rs);
+  Epoll.wait env.ep ~max_events:8 ~timeout:None
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check (list (pair int Helpers.mask))) "event" [ (3, Pollmask.pollin) ]
     (as_pairs !got)
@@ -57,7 +58,8 @@ let test_no_lost_startup_event () =
   ignore (Socket.deliver s ~bytes_len:4 ~payload:"");
   ignore (Epoll.ctl_add env.ep ~fd:1 ~events:Pollmask.pollin ());
   let got = ref [] in
-  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check int) "found at first wait" 1 (List.length !got)
 
@@ -67,10 +69,12 @@ let test_level_triggered_requeues () =
   ignore (Epoll.ctl_add env.ep ~fd:1 ~events:Pollmask.pollin ());
   ignore (Socket.deliver s ~bytes_len:4 ~payload:"");
   let first = ref [] and second = ref [] in
-  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero) ~k:(fun rs -> first := rs);
+  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> first := Ready_buffer.to_list rs);
   Engine.run env.engine;
   (* Data not consumed: a level-triggered wait must report it again. *)
-  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero) ~k:(fun rs -> second := rs);
+  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> second := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check int) "first" 1 (List.length !first);
   Alcotest.(check int) "second (still ready)" 1 (List.length !second)
@@ -81,9 +85,11 @@ let test_edge_triggered_fires_once () =
   ignore (Epoll.ctl_add env.ep ~fd:1 ~events:Pollmask.pollin ~trigger:Epoll.Edge ());
   ignore (Socket.deliver s ~bytes_len:4 ~payload:"");
   let first = ref [] and second = ref [] in
-  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero) ~k:(fun rs -> first := rs);
+  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> first := Ready_buffer.to_list rs);
   Engine.run env.engine;
-  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero) ~k:(fun rs -> second := rs);
+  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> second := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check int) "first delivers" 1 (List.length !first);
   Alcotest.(check int) "second silent (no new edge)" 0 (List.length !second)
@@ -96,7 +102,8 @@ let test_stale_ready_entry_dropped () =
   (* Readiness evaporates before the wait. *)
   ignore (Socket.read_all s);
   let got = ref [ { Poll.fd = -1; revents = Pollmask.empty } ] in
-  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check int) "stale entry dropped" 0 (List.length !got)
 
@@ -106,6 +113,7 @@ let test_blocks_until_event () =
   ignore (Epoll.ctl_add env.ep ~fd:1 ~events:Pollmask.pollin ());
   let at = ref None in
   Epoll.wait env.ep ~max_events:8 ~timeout:None ~k:(fun rs ->
+      let rs = Ready_buffer.to_list rs in
       at := Some (Engine.now env.engine, List.length rs));
   ignore
     (Engine.at env.engine (Time.ms 9) (fun () ->
@@ -137,7 +145,8 @@ let test_closed_fd_reports_nval_once () =
   ignore (Socket.deliver s ~bytes_len:1 ~payload:"");
   Hashtbl.remove env.sockets 1;
   let got = ref [] in
-  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  Epoll.wait env.ep ~max_events:8 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check (list (pair int Helpers.mask))) "NVAL" [ (1, Pollmask.pollnval) ]
     (as_pairs !got)
@@ -150,7 +159,8 @@ let test_max_events_caps () =
     ignore (Socket.deliver s ~bytes_len:1 ~payload:"")
   done;
   let got = ref [] in
-  Epoll.wait env.ep ~max_events:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  Epoll.wait env.ep ~max_events:4 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run env.engine;
   Alcotest.(check int) "capped" 4 (List.length !got);
   (* The other six are still queued. *)
@@ -173,11 +183,12 @@ let prop_epoll_agrees_with_poll =
         script;
       let n = List.length script in
       let ev = ref [] and pl = ref [] in
-      Epoll.wait env.ep ~max_events:n ~timeout:(Some Time.zero) ~k:(fun rs -> ev := rs);
+      Epoll.wait env.ep ~max_events:n ~timeout:(Some Time.zero)
+        ~k:(fun rs -> ev := Ready_buffer.to_list rs);
       Poll.wait ~host:env.host ~lookup:(Hashtbl.find_opt env.sockets)
         ~interests:(List.init n (fun fd -> (fd, Pollmask.pollin)))
         ~timeout:(Some Time.zero)
-        ~k:(fun rs -> pl := rs);
+          ~k:(fun rs -> pl := rs);
       Engine.run env.engine;
       let norm rs = List.sort compare (as_pairs rs) in
       norm !ev = norm !pl)

@@ -1,6 +1,6 @@
 open Sio_sim
 
-let int_heap () = Heap.create ~leq:(fun (a : int) b -> a <= b) ()
+let int_heap () = Heap.create ~leq:(fun (a : int) b -> a <= b) ~dummy:0 ()
 
 let test_empty () =
   let h = int_heap () in
@@ -61,7 +61,7 @@ let test_to_list () =
   Alcotest.(check int) "length unchanged" 3 (Heap.length h)
 
 let test_growth () =
-  let h = Heap.create ~initial_capacity:2 ~leq:(fun (a : int) b -> a <= b) () in
+  let h = Heap.create ~initial_capacity:2 ~leq:(fun (a : int) b -> a <= b) ~dummy:0 () in
   for i = 999 downto 0 do
     Heap.push h i
   done;
@@ -109,7 +109,7 @@ let weak_of push_use =
   let w = Weak.create 3 in
   (* Allocate inside a closure so no stack root outlives the calls. *)
   (fun () ->
-    let h = Heap.create ~leq:(fun (a : int ref) b -> !a <= !b) () in
+    let h = Heap.create ~leq:(fun (a : int ref) b -> !a <= !b) ~dummy:(ref 0) () in
     for i = 0 to 2 do
       let v = ref i in
       Weak.set w i (Some v);

@@ -194,7 +194,8 @@ let test_devpoll_via_syscalls () =
   ignore (Helpers.ok (Kernel.devpoll_write rig.proc dpfd [ (fd, Pollmask.pollin) ]));
   let got = ref [] in
   (match
-     Kernel.devpoll_wait rig.proc dpfd ~max_results:4 ~timeout:None ~k:(fun rs -> got := rs)
+     Kernel.devpoll_wait rig.proc dpfd ~max_results:4 ~timeout:None
+       ~k:(fun rs -> got := Ready_buffer.to_list rs)
    with
   | Ok () -> ()
   | Error `Ebadf -> Alcotest.fail "devpoll_wait Ebadf");

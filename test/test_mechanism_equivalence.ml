@@ -75,8 +75,9 @@ let run_script nfds ops =
     Poll.wait ~host ~lookup ~interests ~timeout:(Some Time.zero) ~k:(fun rs ->
         poll_r := rs);
     Devpoll.dp_poll dev ~max_results:nfds ~timeout:(Some Time.zero) ~k:(fun rs ->
-        dev_r := rs);
-    Epoll.wait ep ~max_events:nfds ~timeout:(Some Time.zero) ~k:(fun rs -> ep_r := rs);
+        dev_r := Ready_buffer.to_list rs);
+    Epoll.wait ep ~max_events:nfds ~timeout:(Some Time.zero)
+      ~k:(fun rs -> ep_r := Ready_buffer.to_list rs);
     Select.select ~host ~lookup ~read:read_set ~write:none ~except:none
       ~timeout:(Some Time.zero) ~k:(fun r -> sel_r := Some r);
     Engine.run engine;

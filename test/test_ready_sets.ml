@@ -68,7 +68,8 @@ let sorted_pairs rs = List.sort compare (List.map (fun r -> (r.Poll.fd, r.Poll.r
 
 let dp_scan w dev =
   let got = ref [] in
-  Devpoll.dp_poll dev ~max_results:64 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  Devpoll.dp_poll dev ~max_results:64 ~timeout:(Some Time.zero)
+    ~k:(fun rs -> got := Ready_buffer.to_list rs);
   Engine.run w.engine;
   sorted_pairs !got
 
@@ -90,35 +91,116 @@ let prop_devpoll_churn =
       dp_scan w dev = dp_scan w fresh
       && Devpoll.active_fds dev = Devpoll.active_fds fresh)
 
-let pset_scan w set =
+(* Charged nanoseconds and Host counters spent by [f]. *)
+let snap (h : Host.t) =
+  let c = h.Host.counters in
+  (c.Host.syscalls, c.Host.driver_polls, c.Host.hint_skips, c.Host.wait_queue_wakes)
+
+let delta h f =
+  let busy0 = Cpu.total_busy h.Host.cpu and s0, d0, k0, w0 = snap h in
+  f ();
+  let busy1 = Cpu.total_busy h.Host.cpu and s1, d1, k1, w1 = snap h in
+  (Time.sub busy1 busy0, (s1 - s0, d1 - d0, k1 - k0, w1 - w0))
+
+(* The persistent poll set caches each entry's last probe, so its
+   churn script also consumes readiness between scans — reads that
+   drain, accepts that empty a listener, sends that fill the buffer,
+   closes and fd reuse — and every scan is checked against a stateless
+   poll() over the same interests in the same (insertion) order:
+   identical results in identical order, identical charged
+   nanoseconds, identical counters. *)
+type pset_world = {
+  pw : world;
+  set : Poll.Pset.pset;
+  mutable order : (int * Pollmask.t) list; (* the interest list, insertion order *)
+}
+
+let pset_set pw fd ev =
+  Poll.Pset.set pw.set fd ev;
+  if List.mem_assoc fd pw.order then
+    pw.order <- List.map (fun (fd', ev') -> if fd' = fd then (fd, ev) else (fd', ev')) pw.order
+  else pw.order <- pw.order @ [ (fd, ev) ]
+
+let pset_remove pw fd =
+  Poll.Pset.remove pw.set fd;
+  pw.order <- List.remove_assoc fd pw.order
+
+let pset_wait pw =
   let got = ref [] in
-  Poll.Pset.wait_set set ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
-  Engine.run w.engine;
-  sorted_pairs !got
+  let charge =
+    delta pw.pw.host (fun () ->
+        Poll.Pset.wait_set pw.set ~timeout:(Some Time.zero)
+          ~k:(fun rs -> got := Ready_buffer.to_list rs);
+        Engine.run pw.pw.engine)
+  in
+  (!got, charge)
+
+let stateless_wait pw =
+  let got = ref [] in
+  let charge =
+    delta pw.pw.host (fun () ->
+        Poll.wait ~host:pw.pw.host ~lookup:(Hashtbl.find_opt pw.pw.sockets)
+          ~interests:pw.order ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+        Engine.run pw.pw.engine)
+  in
+  (!got, charge)
+
+let pairs rs = List.map (fun r -> (r.Poll.fd, r.Poll.revents)) rs
+
+(* Replace whatever socket holds [fd] (closing it first, which posts
+   the POLLNVAL edge the set relies on to spot the reuse). *)
+let install w fd sock =
+  (match Hashtbl.find_opt w.sockets fd with Some s -> Socket.close s | None -> ());
+  Hashtbl.replace w.sockets fd sock
+
+let pset_op pw x =
+  let w = pw.pw in
+  let fd = x mod fd_pool and action = x / fd_pool in
+  let with_sock f = match Hashtbl.find_opt w.sockets fd with Some s -> f s | None -> () in
+  match action with
+  | 0 -> install w fd (Socket.create_established ~host:w.host)
+  | 1 -> install w fd (Socket.create_listening ~host:w.host ~backlog:2)
+  | 2 ->
+      with_sock Socket.close;
+      Hashtbl.remove w.sockets fd
+  | 3 -> with_sock (fun s -> ignore (Socket.deliver s ~bytes_len:1 ~payload:"x"))
+  | 4 -> with_sock (fun s -> ignore (Socket.read_all s))
+  | 5 -> with_sock (fun s -> ignore (Socket.enqueue_accept s (Socket.create_established ~host:w.host)))
+  | 6 -> with_sock (fun s -> ignore (Socket.accept_pop s))
+  | 7 -> with_sock (fun s -> ignore (Socket.write_reserve s 65_536))
+  | 8 -> with_sock (fun s -> Socket.release_send_space s 65_536)
+  | 9 -> with_sock Socket.peer_closed
+  | 10 -> with_sock Socket.reset
+  | 11 -> with_sock (fun s -> Socket.set_hints_supported s (not (Socket.hints_supported s)))
+  | 12 -> pset_set pw fd (interest_mask fd)
+  | 13 -> pset_set pw fd Pollmask.pollout
+  | 14 -> pset_remove pw fd
+  | _ -> ()
+
+let pset_script_gen = QCheck.(list_of_size Gen.(5 -- 80) (int_bound ((fd_pool * 17) - 1)))
 
 let prop_pset_churn =
-  QCheck.Test.make ~name:"poll pset equals stateless poll() after churn" ~count:300
-    script_gen
+  QCheck.Test.make ~name:"poll pset equals stateless poll() at every scan" ~count:300
+    pset_script_gen
     (fun script ->
       let w = mk_world () in
+      (* Costed, so equal charges mean equal per-probe work. *)
+      let w = { w with host = Host.create ~engine:w.engine () } in
       let lookup = Hashtbl.find_opt w.sockets in
-      let set = Poll.Pset.create ~host:w.host ~lookup () in
-      List.iter
-        (apply w
-           ~add:(fun fd -> Poll.Pset.set set fd (interest_mask fd))
-           ~remove:(fun fd -> Poll.Pset.remove set fd)
-           ~scan:(fun () -> ignore (pset_scan w set)))
-        script;
-      let interests = model_interests w in
-      let stateless = ref [] in
-      Poll.wait ~host:w.host ~lookup ~interests ~timeout:(Some Time.zero)
-        ~k:(fun rs -> stateless := rs);
-      Engine.run w.engine;
+      let pw = { pw = w; set = Poll.Pset.create ~host:w.host ~lookup (); order = [] } in
+      let agree () =
+        let rs, charge = pset_wait pw in
+        let rs', charge' = stateless_wait pw in
+        pairs rs = pairs rs' && charge = charge'
+      in
+      List.for_all (fun x -> if x / fd_pool >= 15 then agree () else (pset_op pw x; true)) script
+      && agree ()
+      &&
       let fresh = Poll.Pset.create ~host:w.host ~lookup () in
-      List.iter (fun (fd, ev) -> Poll.Pset.set fresh fd ev) interests;
-      pset_scan w set = sorted_pairs !stateless
-      && (ignore (pset_scan w fresh);
-          Poll.Pset.active_fds set = Poll.Pset.active_fds fresh))
+      List.iter (fun (fd, ev) -> Poll.Pset.set fresh fd ev) pw.order;
+      let rs, _ = pset_wait { pw with set = fresh } in
+      pairs rs = pairs (fst (pset_wait pw))
+      && Poll.Pset.active_fds pw.set = Poll.Pset.active_fds fresh)
 
 let set_elements s =
   let acc = ref [] in
@@ -175,16 +257,6 @@ let prop_sset_churn =
    still ARE the per-fd loop, so they serve as the pre-PR oracle. *)
 
 let loads = [ 1; 251; 501 ]
-
-let snap (h : Host.t) =
-  let c = h.Host.counters in
-  (c.Host.syscalls, c.Host.driver_polls, c.Host.hint_skips, c.Host.wait_queue_wakes)
-
-let delta h f =
-  let busy0 = Cpu.total_busy h.Host.cpu and s0, d0, k0, w0 = snap h in
-  f ();
-  let busy1 = Cpu.total_busy h.Host.cpu and s1, d1, k1, w1 = snap h in
-  (Time.sub busy1 busy0, (s1 - s0, d1 - d0, k1 - k0, w1 - w0))
 
 let pp_charge ppf (t, (s, d, k, w)) =
   Fmt.pf ppf "%s syscalls=%d driver_polls=%d hint_skips=%d wakes=%d" (Time.to_string t) s d
@@ -293,6 +365,55 @@ let test_devpoll_steady_charge_formula () =
         expected (delta host scan))
     loads
 
+(* A wait issued from inside a continuation (hybrid's switch back to
+   signals does this) gets a buffer of its own: the batch the outer
+   continuation is reading keeps its contents while the nested wait
+   scans and reports. *)
+let test_nested_wait_keeps_outer_batch () =
+  let devpoll proc =
+    match Sio_httpd.Backend.devpoll proc with
+    | Ok b -> b
+    | Error `Emfile -> Alcotest.fail "devpoll open"
+  in
+  List.iter
+    (fun (name, mk) ->
+      let engine = Helpers.mk_engine () in
+      let host = Host.create ~engine () in
+      let proc = Process.create ~host ~fd_limit:64 ~name:"server" () in
+      let backend = mk proc in
+      let socks =
+        List.init 4 (fun _ ->
+            let s = Socket.create_established ~host in
+            match Process.install_socket proc s with
+            | Ok fd -> (fd, s)
+            | Error `Emfile -> Alcotest.fail "install")
+      in
+      List.iter
+        (fun (fd, s) ->
+          ignore (Socket.deliver s ~bytes_len:1 ~payload:"x");
+          Sio_httpd.Backend.add backend fd Pollmask.pollin)
+        socks;
+      let fds rs = List.sort compare (List.map (fun r -> r.Poll.fd) (Ready_buffer.to_list rs)) in
+      let wait k = Sio_httpd.Backend.wait backend ~timeout:(Some Time.zero) ~k in
+      let before = ref [] and after = ref [] and inner = ref [] in
+      wait (fun outer ->
+          before := fds outer;
+          List.iteri (fun i (_, s) -> if i < 2 then ignore (Socket.read_all s)) socks;
+          wait (fun rs -> inner := fds rs);
+          after := fds outer);
+      Engine.run engine;
+      let all = List.map fst socks in
+      Alcotest.(check (list int)) (name ^ ": outer batch") all !before;
+      Alcotest.(check (list int)) (name ^ ": outer batch after nested wait") all !after;
+      Alcotest.(check (list int)) (name ^ ": nested batch") (List.filteri (fun i _ -> i >= 2) all)
+        !inner)
+    [
+      ("poll", Sio_httpd.Backend.poll);
+      ("select", Sio_httpd.Backend.select);
+      ("epoll", fun proc -> Sio_httpd.Backend.epoll proc);
+      ("devpoll", devpoll);
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_devpoll_churn;
@@ -304,4 +425,6 @@ let suite =
       test_sset_charge_matches_select;
     Alcotest.test_case "devpoll steady charge formula at {1,251,501}" `Quick
       test_devpoll_steady_charge_formula;
+    Alcotest.test_case "nested wait keeps the outer batch" `Quick
+      test_nested_wait_keeps_outer_batch;
   ]

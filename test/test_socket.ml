@@ -150,6 +150,42 @@ let test_driver_poll_counts () =
   ignore (Socket.driver_poll s);
   Alcotest.(check int) "driver polls counted" 2 host.Host.counters.Host.driver_polls
 
+(* The watcher contract the cached poll probes rest on: whenever an
+   operation changes a socket's status, its watchers fire. Random
+   sequences drive an established socket and a listener through every
+   status-changing operation, including the ones that post no edge
+   (draining reads, filling writes, the last accept). *)
+let prop_watcher_fires_on_status_change =
+  QCheck.Test.make ~name:"watcher fires whenever status changes" ~count:500
+    QCheck.(list_of_size Gen.(1 -- 40) (int_bound 10))
+    (fun ops ->
+      let _, host = mk () in
+      let s = Socket.create_established ~host in
+      let l = Socket.create_listening ~host ~backlog:4 in
+      let fired = ref false in
+      ignore (Socket.add_watcher s (fun () -> fired := true));
+      ignore (Socket.add_watcher l (fun () -> fired := true));
+      let apply = function
+        | 0 -> ignore (Socket.deliver s ~bytes_len:3 ~payload:"abc")
+        | 1 -> ignore (Socket.read_all s)
+        | 2 -> ignore (Socket.write_reserve s 40_000)
+        | 3 -> Socket.release_send_space s 30_000
+        | 4 -> Socket.peer_closed s
+        | 5 -> Socket.reset s
+        | 6 -> Socket.close s
+        | 7 -> ignore (Socket.enqueue_accept l (Socket.create_established ~host))
+        | 8 -> ignore (Socket.accept_pop l)
+        | 9 -> Socket.close l
+        | _ -> Socket.release_send_space s 65_536
+      in
+      List.for_all
+        (fun op ->
+          let before = (Socket.status s, Socket.status l) in
+          fired := false;
+          apply op;
+          before = (Socket.status s, Socket.status l) || !fired)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "established initial status" `Quick test_established_initial_status;
@@ -170,4 +206,5 @@ let suite =
       test_release_send_space_pollout_edge;
     Alcotest.test_case "transport hooks" `Quick test_transport_hooks;
     Alcotest.test_case "driver_poll counts" `Quick test_driver_poll_counts;
+    QCheck_alcotest.to_alcotest prop_watcher_fires_on_status_change;
   ]
