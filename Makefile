@@ -80,19 +80,24 @@ bench-micro: build
 bench-check: build
 	dune exec bench/bench_micro_main.exe -- --check BENCH_micro.json
 
-# Allocation gate on the repository benchmark's poll-heavy workload:
-# run one paper-501 repetition (seed 42) and fail if it allocates more
-# minor-heap words than the ceiling committed in BENCH_alloc.json (the
-# measured value + 3 %). Unlike wall time, allocation does not move
-# with machine load, so the margin is narrow.
+# Allocation gate on the repository benchmark's poll-heavy and
+# request-path workloads: run one paper-501 and one cluster-8x
+# repetition (seed 42) and fail if either allocates more minor-heap
+# words than its ceiling in BENCH_alloc.json (the measured value + 3 %).
+# Unlike wall time, allocation does not move with machine load, so the
+# margin is narrow.
+ALLOC_WORKLOADS = paper-501 cluster-8x
+
 alloc-check: build
-	./_build/default/perfbench/perfbench_main.exe --workload paper-501 --seed 42 \
-	  > /tmp/alloc_check.json
-	@python3 -c 'import json, sys; \
-	got = json.load(open("/tmp/alloc_check.json"))["host"]["alloc_mwords"]["value"]; \
-	cap = json.load(open("BENCH_alloc.json"))["ceiling"]; \
-	print("alloc-check: paper-501 allocates %.1f Mwords (ceiling %.1f)" % (got, cap)); \
-	sys.exit(1 if got > cap else 0)'
+	@status=0; for w in $(ALLOC_WORKLOADS); do \
+	  ./_build/default/perfbench/perfbench_main.exe --workload $$w --seed 42 \
+	    > /tmp/alloc_check_$$w.json || exit 1; \
+	  python3 -c 'import json, sys; w = sys.argv[1]; \
+	  got = json.load(open("/tmp/alloc_check_%s.json" % w))["host"]["alloc_mwords"]["value"]; \
+	  cap = [e for e in json.load(open("BENCH_alloc.json"))["workloads"] if e["workload"] == w][0]["ceiling"]; \
+	  print("alloc-check: %s allocates %.1f Mwords (ceiling %.1f)" % (w, got, cap)); \
+	  sys.exit(1 if got > cap else 0)' $$w || status=1; \
+	done; exit $$status
 
 # Sequential-vs-parallel wall-clock for the reference figure set;
 # refreshes BENCH_wallclock.json at the repo root.

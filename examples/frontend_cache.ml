@@ -97,11 +97,12 @@ let () =
     ignore
       (Tcp.connect ~net:backend_net ~listener:(Thttpd.listener backend) ~handlers ())
   in
+  let rbuf = Kernel.read_buf () in
   let on_client fd mask =
     if Pollmask.intersects mask Pollmask.readable then
-      match Kernel.read fe_proc fd with
-      | Ok (Kernel.Data (text, _)) when Http.is_complete text -> (
-          match Http.parse_request text with
+      match Kernel.read fe_proc fd ~into:rbuf with
+      | Ok Kernel.Data when Http.is_complete rbuf.Kernel.text -> (
+          match Http.parse_request rbuf.Kernel.text with
           | Ok { Http.path; _ } -> (
               Kernel.compute fe_proc (Time.us 60) (* parse + cache probe *);
               match Hashtbl.find_opt cache path with
@@ -124,7 +125,7 @@ let () =
   Event_loop.watch loop ~fd:fe_listen ~events:Pollmask.pollin (fun _ ->
       let rec accept_all () =
         match Kernel.accept fe_proc fe_listen with
-        | Ok (fd, _) ->
+        | Ok fd ->
             Event_loop.watch loop ~fd ~events:Pollmask.pollin (on_client fd);
             accept_all ()
         | Error _ -> ()

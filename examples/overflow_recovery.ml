@@ -51,7 +51,7 @@ let () =
         | Some _ ->
             Fmt.pr "<- signal: fd %d ready (%a)@." fd Pollmask.pp band;
             (* Consume the data so the next burst posts a fresh edge. *)
-            ignore (Kernel.read proc fd)
+            ignore (Kernel.read proc fd ~into:(Kernel.read_buf ()))
         | None ->
             Fmt.pr "<- STALE signal: fd %d (%a) names a closed descriptor — ignored@."
               fd Pollmask.pp band)

@@ -35,13 +35,14 @@ let () =
   in
 
   (* 3. Server logic: accept, then echo whatever arrives. *)
+  let rbuf = Kernel.read_buf () in
   let on_client fd mask =
     if Pollmask.intersects mask Pollmask.readable then
-      match Kernel.read proc fd with
-      | Ok (Kernel.Data (text, bytes)) ->
+      match Kernel.read proc fd ~into:rbuf with
+      | Ok Kernel.Data ->
           Fmt.pr "[%a] server: read %S (%d bytes), echoing@." Time.pp
-            (Engine.now engine) text bytes;
-          ignore (Kernel.write proc fd ~bytes_len:bytes)
+            (Engine.now engine) rbuf.Kernel.text rbuf.Kernel.bytes;
+          ignore (Kernel.write proc fd ~bytes_len:rbuf.Kernel.bytes)
       | Ok Kernel.Eof | Ok Kernel.Econnreset ->
           Fmt.pr "[%a] server: client went away, closing@." Time.pp (Engine.now engine);
           Event_loop.unwatch loop fd;
@@ -50,7 +51,7 @@ let () =
   in
   Event_loop.watch loop ~fd:listen_fd ~events:Pollmask.pollin (fun _ ->
       match Kernel.accept proc listen_fd with
-      | Ok (fd, _sock) ->
+      | Ok fd ->
           Fmt.pr "[%a] server: accepted connection as fd %d@." Time.pp
             (Engine.now engine) fd;
           Event_loop.watch loop ~fd ~events:Pollmask.pollin (on_client fd)

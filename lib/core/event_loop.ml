@@ -26,6 +26,9 @@ type t = {
   mutable periodics : Event_queue.handle list;
 }
 
+(* The watch table's filler for unbound slots; never called. *)
+let no_watch = { events = Pollmask.empty; callback = ignore }
+
 let create ~proc ~backend =
   let notifier =
     match backend with
@@ -49,7 +52,7 @@ let create ~proc ~backend =
         {
           proc;
           notifier;
-          watches = Fd_map.create ~initial_capacity:64 ();
+          watches = Fd_map.create ~initial_capacity:64 ~dummy:no_watch ();
           running = false;
           stopped = false;
           overflow_recoveries = 0;
@@ -95,9 +98,8 @@ let add_periodic t ~every f =
   arm ()
 
 let dispatch t fd mask =
-  match Fd_map.find t.watches fd with
-  | Some w -> w.callback mask
-  | None -> () (* stale event for an unwatched descriptor *)
+  (* An unwatched descriptor's stale event is dropped. *)
+  if Fd_map.mem t.watches fd then (Fd_map.get t.watches fd).callback mask
 
 (* Recovery poll over the entire watch set: the paper's prescription
    after an RT-signal queue overflow. Fd_map iterates in ascending fd

@@ -35,28 +35,40 @@ let default_config =
    budget) degrades to copy rather than failing the response. *)
 type path = P_copy | P_sendfile | P_ring of { copy_bytes : int }
 
-type send_state = {
-  path : path;
-  total : int;  (* full response size on the wire *)
-  mutable sent : int;  (* bytes accepted into the send buffer so far *)
-}
-
 type t = {
   fd : int;
-  buf : Buffer.t;
+  rbuf : Kernel.read_buf;
+  mutable pending : string; (* request text received so far, while incomplete *)
   mutable last_activity : Sio_sim.Time.t;
-  mutable send : send_state option;
+  (* The response in flight, when [sending]: how its bytes reach the
+     wire, its full size, and the bytes accepted so far. Kept inline,
+     so starting a response allocates nothing. *)
+  mutable sending : bool;
+  mutable path : path;
+  mutable total : int;
+  mutable sent : int;
 }
 
 let create ~fd ~now =
-  { fd; buf = Buffer.create 128; last_activity = now; send = None }
+  {
+    fd;
+    rbuf = Kernel.read_buf ();
+    pending = "";
+    last_activity = now;
+    sending = false;
+    path = P_copy;
+    total = 0;
+    sent = 0;
+  }
+
+let none = create ~fd:(-1) ~now:Time.zero
 
 let with_fd t ~fd = { t with fd }
 
 let fd t = t.fd
 let last_activity t = t.last_activity
 let touch t ~now = t.last_activity <- now
-let sending t = t.send <> None
+let sending t = t.sending
 
 type outcome =
   | Replied of int
@@ -66,28 +78,28 @@ type outcome =
 
 (* Push the pending response forward by one send call. Every exit that
    is not [Blocked] closes the descriptor: HTTP/1.0, no keep-alive. *)
-let continue_send proc t st =
-  let remaining = st.total - st.sent in
+let continue_send proc t =
+  let remaining = t.total - t.sent in
   let result =
-    match st.path with
+    match t.path with
     | P_copy -> Kernel.write proc t.fd ~bytes_len:remaining
     | P_sendfile -> Kernel.sendfile proc t.fd ~bytes_len:remaining
     | P_ring { copy_bytes } ->
         (* Headers drain first (FIFO), so only the not-yet-sent prefix
            of the copied-through region still needs copying. *)
-        let copy_now = Stdlib.max 0 (copy_bytes - st.sent) in
+        let copy_now = Stdlib.max 0 (copy_bytes - t.sent) in
         Kernel.ring_send proc t.fd ~bytes_len:remaining ~copy_bytes:copy_now
   in
   match result with
-  | Ok n when st.sent + n >= st.total ->
-      t.send <- None;
+  | Ok n when t.sent + n >= t.total ->
+      t.sending <- false;
       ignore (Kernel.close proc t.fd);
       Replied n
   | Ok n ->
-      st.sent <- st.sent + n;
+      t.sent <- t.sent + n;
       Blocked n
   | Error (`Econnreset | `Ebadf | `Emfile | `Eagain | `Einval) ->
-      t.send <- None;
+      t.sending <- false;
       ignore (Kernel.close proc t.fd);
       Closed_by_peer
 
@@ -108,9 +120,10 @@ let resolve_path proc config t ~not_found ~body_bytes =
             P_ring { copy_bytes }
         | Error (`Ebadf | `Einval | `Enobufs | `Econnreset) -> P_copy)
 
-let respond proc config t =
+(* [parsed] is the complete request's parse. *)
+let respond proc config t parsed =
   Kernel.compute proc config.parse_cost;
-  match Http.parse_request (Buffer.contents t.buf) with
+  match parsed with
   | Error (`Incomplete | `Malformed) ->
       (* Junk request: drop the connection, as thttpd does. *)
       ignore (Kernel.close proc t.fd);
@@ -125,32 +138,43 @@ let respond proc config t =
             | Ok bytes -> (bytes, false)
             | Error `Enoent -> (not_found_body_bytes, true))
       in
-      let total = Http.response_bytes ~body_bytes in
-      let path = resolve_path proc config t ~not_found ~body_bytes in
-      let st = { path; total; sent = 0 } in
-      t.send <- Some st;
-      continue_send proc t st
+      t.path <- resolve_path proc config t ~not_found ~body_bytes;
+      t.total <- Http.response_bytes ~body_bytes;
+      t.sent <- 0;
+      t.sending <- true;
+      continue_send proc t
+
+(* The request text so far: a request that arrived whole is the read's
+   own string, with no copy. *)
+let received t text =
+  if String.length t.pending = 0 then text
+  else if String.length text = 0 then t.pending
+  else t.pending ^ text
 
 let handle_event proc config t ~now =
   t.last_activity <- now;
-  match t.send with
-  | Some st ->
-      (* A response is in flight: whatever the event bits, the only
-         useful work is pushing more of it out. *)
-      continue_send proc t st
-  | None -> (
-      match Kernel.read proc t.fd with
-      | Ok (Kernel.Data (text, _bytes)) ->
-          Buffer.add_string t.buf text;
-          if Http.is_complete (Buffer.contents t.buf) then respond proc config t
-          else begin
+  if t.sending then
+    (* A response is in flight: whatever the event bits, the only
+       useful work is pushing more of it out. *)
+    continue_send proc t
+  else
+    match Kernel.read proc t.fd ~into:t.rbuf with
+    | Ok Kernel.Data -> (
+        let text = received t t.rbuf.Kernel.text in
+        t.rbuf.Kernel.text <- "";
+        (* One parse per read: it also answers "complete yet?". *)
+        match Http.parse_request text with
+        | Error `Incomplete ->
+            t.pending <- text;
             Kernel.compute proc config.read_spin_cost;
             Again
-          end
-      | Ok Kernel.Eagain ->
-          Kernel.compute proc config.read_spin_cost;
-          Again
-      | Ok Kernel.Eof | Ok Kernel.Econnreset ->
-          ignore (Kernel.close proc t.fd);
-          Closed_by_peer
-      | Error (`Ebadf | `Emfile | `Eagain | `Einval) -> Closed_by_peer)
+        | (Ok _ | Error `Malformed) as parsed ->
+            t.pending <- "";
+            respond proc config t parsed)
+    | Ok Kernel.Eagain ->
+        Kernel.compute proc config.read_spin_cost;
+        Again
+    | Ok Kernel.Eof | Ok Kernel.Econnreset ->
+        ignore (Kernel.close proc t.fd);
+        Closed_by_peer
+    | Error (`Ebadf | `Emfile | `Eagain | `Einval) -> Closed_by_peer

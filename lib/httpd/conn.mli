@@ -56,6 +56,10 @@ type t
 
 val create : fd:int -> now:Time.t -> t
 
+val none : t
+(** A connection bound to no descriptor: the filler of connection
+    tables ({!Sio_sim.Fd_map.create}'s [dummy]). Never driven. *)
+
 val with_fd : t -> fd:int -> t
 (** The same connection state rebound to a new descriptor number —
     what happens when a connection is passed to another process over a

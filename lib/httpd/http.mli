@@ -12,13 +12,17 @@ val request_bytes : path:string -> int
 (** [String.length (build_request ~path)]. *)
 
 val is_complete : string -> bool
-(** True when the buffered text contains the end-of-headers marker. *)
+(** True when the buffered text contains the end-of-headers marker.
+    Scans in place; allocates nothing. *)
 
 val parse_request : string -> (request, [ `Incomplete | `Malformed ]) result
-(** Parses the first request line out of a complete request buffer. *)
+(** Checks completeness and parses the first request line, in one call:
+    a caller holding unparsed text needs nothing else ([`Incomplete]
+    means wait for more). Allocates only the result. *)
 
 val response_head_bytes : body_bytes:int -> int
-(** Size of the status line plus headers for a [body_bytes] response. *)
+(** Size of the status line plus headers for a [body_bytes] response,
+    computed without building the head. *)
 
 val header_bytes : body_bytes:int -> int
 (** Alias of {!response_head_bytes}: the prefix of a response that the

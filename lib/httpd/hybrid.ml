@@ -53,29 +53,30 @@ let drop_conn t fd =
   Backend.remove t.backend fd
 
 let handle_conn_event t fd =
-  match Fd_map.find t.conns fd with
-  | None ->
-      t.stats.Server_stats.stale_events <- t.stats.Server_stats.stale_events + 1;
-      Kernel.compute t.proc t.config.conn.Conn.read_spin_cost
-  | Some conn -> (
-      let was_sending = Conn.sending conn in
-      match Conn.handle_event t.proc t.config.conn conn ~now:(now t) with
-      | Conn.Replied n ->
-          t.stats.Server_stats.bytes_sent <- t.stats.Server_stats.bytes_sent + n;
-          Server_stats.record_reply t.stats ~now:(now t);
-          drop_conn t fd
-      | Conn.Again -> ()
-      | Conn.Blocked n ->
-          t.stats.Server_stats.bytes_sent <- t.stats.Server_stats.bytes_sent + n;
-          t.stats.Server_stats.partial_writes <-
-            t.stats.Server_stats.partial_writes + 1;
-          (* The /dev/poll interest set is maintained in both modes, so
-             one modify covers polling mode; in signal mode F_SETSIG
-             already delivers POLLOUT edges. *)
-          if not was_sending then Backend.modify t.backend fd Pollmask.pollout
-      | Conn.Closed_by_peer ->
-          t.stats.Server_stats.dropped_conns <- t.stats.Server_stats.dropped_conns + 1;
-          drop_conn t fd)
+  if not (Fd_map.mem t.conns fd) then begin
+    t.stats.Server_stats.stale_events <- t.stats.Server_stats.stale_events + 1;
+    Kernel.compute t.proc t.config.conn.Conn.read_spin_cost
+  end
+  else
+    let conn = Fd_map.get t.conns fd in
+    let was_sending = Conn.sending conn in
+    match Conn.handle_event t.proc t.config.conn conn ~now:(now t) with
+    | Conn.Replied n ->
+        t.stats.Server_stats.bytes_sent <- t.stats.Server_stats.bytes_sent + n;
+        Server_stats.record_reply t.stats ~now:(now t);
+        drop_conn t fd
+    | Conn.Again -> ()
+    | Conn.Blocked n ->
+        t.stats.Server_stats.bytes_sent <- t.stats.Server_stats.bytes_sent + n;
+        t.stats.Server_stats.partial_writes <-
+          t.stats.Server_stats.partial_writes + 1;
+        (* The /dev/poll interest set is maintained in both modes, so
+           one modify covers polling mode; in signal mode F_SETSIG
+           already delivers POLLOUT edges. *)
+        if not was_sending then Backend.modify t.backend fd Pollmask.pollout
+    | Conn.Closed_by_peer ->
+        t.stats.Server_stats.dropped_conns <- t.stats.Server_stats.dropped_conns + 1;
+        drop_conn t fd
 
 (* Data can arrive between the SYN and our F_SETSIG; no signal will
    ever announce it. Real signal-driven servers therefore try an
@@ -83,7 +84,7 @@ let handle_conn_event t fd =
 let accept_pending t =
   let rec go () =
     match Kernel.accept t.proc t.listen_fd with
-    | Ok (fd, _sock) ->
+    | Ok fd ->
         Fd_map.set t.conns fd (Conn.create ~fd ~now:(now t));
         (* Both registrations, kept concurrently: the cheap switch. *)
         ignore (Kernel.fcntl_setsig t.proc fd ~signo:t.config.signo);
@@ -202,7 +203,7 @@ let start ~proc ?(config = default_config) () =
               listen_fd;
               listener;
               backend;
-              conns = Fd_map.create ~initial_capacity:256 ();
+              conns = Fd_map.create ~initial_capacity:256 ~dummy:Conn.none ();
               stats = Server_stats.create ~sample_interval:config.sample_interval ();
               mode = Signals;
               full_batch_streak = 0;

@@ -63,35 +63,36 @@ let handle_conn_event t fd =
      in both signal and polling modes. *)
   Kernel.compute (cur_proc t)
     (Time.mul t.config.conn_table_cost_per_conn (Fd_map.length t.conns));
-  match Fd_map.find t.conns fd with
-  | None ->
-      (* A stale RT signal for a connection that is already gone: the
-         hazard the paper warns about. It costs a little CPU to look
-         up and discard. *)
-      t.stats.Server_stats.stale_events <- t.stats.Server_stats.stale_events + 1;
-      Kernel.compute (cur_proc t) t.config.conn.Conn.read_spin_cost
-  | Some conn -> (
-      let was_sending = Conn.sending conn in
-      match Conn.handle_event (cur_proc t) t.config.conn conn ~now:(now t) with
-      | Conn.Replied n ->
-          t.stats.Server_stats.bytes_sent <- t.stats.Server_stats.bytes_sent + n;
-          Server_stats.record_reply t.stats ~now:(now t);
-          drop_conn t fd
-      | Conn.Again -> ()
-      | Conn.Blocked n ->
-          t.stats.Server_stats.bytes_sent <- t.stats.Server_stats.bytes_sent + n;
-          t.stats.Server_stats.partial_writes <-
-            t.stats.Server_stats.partial_writes + 1;
-          (* In signal mode nothing to do: F_SETSIG delivers POLLOUT
-             edges through the same queue. The poll sibling must switch
-             its recorded interest to writable. *)
-          if not was_sending then (
-            match (t.mode, t.poll_backend) with
-            | Polling, Some b -> Backend.modify b fd Pollmask.pollout
-            | (Signals | Polling), _ -> ())
-      | Conn.Closed_by_peer ->
-          t.stats.Server_stats.dropped_conns <- t.stats.Server_stats.dropped_conns + 1;
-          drop_conn t fd)
+  if not (Fd_map.mem t.conns fd) then begin
+    (* A stale RT signal for a connection that is already gone: the
+       hazard the paper warns about. It costs a little CPU to look up
+       and discard. *)
+    t.stats.Server_stats.stale_events <- t.stats.Server_stats.stale_events + 1;
+    Kernel.compute (cur_proc t) t.config.conn.Conn.read_spin_cost
+  end
+  else
+    let conn = Fd_map.get t.conns fd in
+    let was_sending = Conn.sending conn in
+    match Conn.handle_event (cur_proc t) t.config.conn conn ~now:(now t) with
+    | Conn.Replied n ->
+        t.stats.Server_stats.bytes_sent <- t.stats.Server_stats.bytes_sent + n;
+        Server_stats.record_reply t.stats ~now:(now t);
+        drop_conn t fd
+    | Conn.Again -> ()
+    | Conn.Blocked n ->
+        t.stats.Server_stats.bytes_sent <- t.stats.Server_stats.bytes_sent + n;
+        t.stats.Server_stats.partial_writes <-
+          t.stats.Server_stats.partial_writes + 1;
+        (* In signal mode nothing to do: F_SETSIG delivers POLLOUT
+           edges through the same queue. The poll sibling must switch
+           its recorded interest to writable. *)
+        if not was_sending then (
+          match (t.mode, t.poll_backend) with
+          | Polling, Some b -> Backend.modify b fd Pollmask.pollout
+          | (Signals | Polling), _ -> ())
+    | Conn.Closed_by_peer ->
+        t.stats.Server_stats.dropped_conns <- t.stats.Server_stats.dropped_conns + 1;
+        drop_conn t fd
 
 (* Data can arrive between the SYN and our F_SETSIG; no signal will
    ever announce it. Real signal-driven servers therefore try an
@@ -99,7 +100,7 @@ let handle_conn_event t fd =
 let accept_pending t =
   let rec go () =
     match Kernel.accept (cur_proc t) t.listen_fd with
-    | Ok (fd, _sock) ->
+    | Ok fd ->
         Fd_map.set t.conns fd (Conn.create ~fd ~now:(now t));
         (match t.mode with
         | Signals -> ignore (Kernel.fcntl_setsig t.proc fd ~signo:t.config.signo)
@@ -142,7 +143,7 @@ let sweep t =
    is shared; only the descriptor changes hands (and number). *)
 let transfer_fd t ~backend ~mask fd =
   match Fd_table.close (Process.fds t.proc) fd with
-  | Some (Process.Sock sock) when Socket.state sock <> Socket.Closed -> (
+  | Some (Process.Sock { sock; _ }) when Socket.state sock <> Socket.Closed -> (
       match Process.install_socket t.sibling sock with
       | Ok new_fd ->
           Backend.add backend new_fd mask;
@@ -185,7 +186,7 @@ let overflow_recovery t ~k =
     | `Listener :: rest ->
         Host.charge_run host ~cost:per_fd (fun () ->
             (match Fd_table.close (Process.fds t.proc) t.listen_fd with
-            | Some (Process.Sock sock) -> (
+            | Some (Process.Sock { sock; _ }) -> (
                 match Process.install_socket t.sibling sock with
                 | Ok new_fd ->
                     t.listen_fd <- new_fd;
@@ -266,7 +267,7 @@ let start ~proc ?(config = default_config) () =
           config;
           listen_fd;
           listener;
-          conns = Fd_map.create ~initial_capacity:256 ();
+          conns = Fd_map.create ~initial_capacity:256 ~dummy:Conn.none ();
           stats = Server_stats.create ~sample_interval:config.sample_interval ();
           mode = Signals;
           handing_off = false;

@@ -4,7 +4,7 @@
    by a dense slot; slots are recycled through a free-list stack and a
    per-slot generation stamp (the [Event_queue] idiom), so a handle
    {slot, gen} to a freed connection goes stale in O(1). An idle
-   established connection then costs ~90 bytes of column storage plus
+   established connection then costs ~70 bytes of column storage plus
    one [cold] pointer word instead of a dozen heap blocks.
 
    The arena knows nothing about sockets: [Socket] extends [cold] with
@@ -20,6 +20,7 @@ type int_col = (int, int_elt, c_layout) Array1.t
 type byte_col = (int, int8_unsigned_elt, c_layout) Array1.t
 
 type cold = ..
+type cold += No_cold
 
 type t = {
   (* Columns are parallel: index [slot < high_water]. *)
@@ -33,10 +34,7 @@ type t = {
   mutable snd_level : int_col;
   mutable snd_cap : int_col;
   mutable mem_bytes : int_col;  (* modeled kernel bytes charged to Host *)
-  mutable tcp_id : int_col;  (* owning Tcp connection id; 0 = none *)
-  mutable obs_next : int_col;  (* observer registration counter *)
-  mutable watch_next : int_col;  (* watcher registration counter *)
-  mutable cold : cold option array;
+  mutable cold : cold array;  (* [No_cold] when none *)
   mutable free : int array;  (* stack of reusable slot indices *)
   mutable free_len : int;
   mutable high_water : int;  (* slots ever handed out *)
@@ -62,10 +60,7 @@ let create ?(initial_capacity = 64) () =
     snd_level = make_int_col cap;
     snd_cap = make_int_col cap;
     mem_bytes = make_int_col cap;
-    tcp_id = make_int_col cap;
-    obs_next = make_int_col cap;
-    watch_next = make_int_col cap;
-    cold = Array.make cap None;
+    cold = Array.make cap No_cold;
     free = Array.make cap 0;
     free_len = 0;
     high_water = 0;
@@ -96,10 +91,7 @@ let grow t =
   t.snd_level <- grow_int_col t.snd_level cap;
   t.snd_cap <- grow_int_col t.snd_cap cap;
   t.mem_bytes <- grow_int_col t.mem_bytes cap;
-  t.tcp_id <- grow_int_col t.tcp_id cap;
-  t.obs_next <- grow_int_col t.obs_next cap;
-  t.watch_next <- grow_int_col t.watch_next cap;
-  let cold = Array.make (2 * cap) None in
+  let cold = Array.make (2 * cap) No_cold in
   Array.blit t.cold 0 cold 0 cap;
   t.cold <- cold
 
@@ -129,9 +121,6 @@ let alloc t =
   t.snd_level.{slot} <- 0;
   t.snd_cap.{slot} <- 0;
   t.mem_bytes.{slot} <- 0;
-  t.tcp_id.{slot} <- 0;
-  t.obs_next.{slot} <- 0;
-  t.watch_next.{slot} <- 0;
   t.live <- t.live + 1;
   slot
 
@@ -139,7 +128,7 @@ let alloc t =
 let free t slot =
   t.gen.{slot} <- t.gen.{slot} + 1;
   t.st.{slot} <- 0;
-  t.cold.(slot) <- None;
+  t.cold.(slot) <- No_cold;
   let cap = Array.length t.free in
   if t.free_len = cap then begin
     let free = Array.make (2 * cap) 0 in

@@ -1,16 +1,16 @@
 (** Struct-of-arrays connection arena.
 
     Per-connection hot scalar state (socket state enum, buffer levels
-    and capacities, hint flags, registration counters, tcp linkage)
+    and capacities, hint flags, memory reservation)
     lives in parallel Bigarray columns indexed by a dense slot. Slots
     are recycled through a free list; every {!free} bumps the slot's
     generation stamp so outstanding {slot, gen} handles go stale in
     O(1) — the {!Sio_sim.Event_queue} pattern.
 
-    Cold state (closures, payload buffers, accept queues) hangs off
-    the [cold] side table, populated lazily by {!Socket} only for
-    connections that need it; an idle established connection costs
-    roughly 90 column bytes plus one pointer word.
+    Cold state (the TCP peer, payload text, registrations, accept
+    queues) hangs off the [cold] side table, populated lazily by
+    {!Socket} only for connections that need it; an idle established
+    connection costs roughly 70 column bytes plus one pointer word.
 
     Discipline for raw slot indices: a slot is only meaningful next to
     the generation read at {!alloc} time. Pack both into an immutable
@@ -27,6 +27,8 @@ type cold = ..
 (** Extension point for per-connection cold state. [Socket] adds its
     own constructor; the arena only stores and drops the values. *)
 
+type cold += No_cold  (** The value of a slot without cold state. *)
+
 type t = {
   mutable st : byte_col;  (** 0 = free slot; else state enum 1..5 *)
   mutable flags : byte_col;
@@ -40,10 +42,7 @@ type t = {
   mutable snd_cap : int_col;
   mutable mem_bytes : int_col;
       (** modeled kernel bytes reserved against {!Host} *)
-  mutable tcp_id : int_col;  (** owning TCP connection id; 0 = none *)
-  mutable obs_next : int_col;  (** observer registration counter *)
-  mutable watch_next : int_col;  (** watcher registration counter *)
-  mutable cold : cold option array;
+  mutable cold : cold array;  (** [No_cold] for a slot without cold state *)
   mutable free : int array;
   mutable free_len : int;
   mutable high_water : int;

@@ -9,12 +9,21 @@ type sub = { token : int; wtoken : int }
    handle remembers which socket the backmap was installed on). *)
 type Conn_arena.cold += Dp_sub of sub
 
+(* The arguments of a DP_POLL call that went to sleep. *)
+type call = {
+  mutable cap : int; (* max results for this call *)
+  mutable results : Poll.result Ready_buffer.t;
+  mutable k : Poll.result Ready_buffer.t -> unit;
+}
+
+let new_call () = { cap = 0; results = Ready_buffer.create ~initial_capacity:1 (); k = ignore }
+
 type t = {
   host : Host.t;
   lookup : int -> Socket.t option;
   key : int; (* attach key naming this instance's subscriptions *)
   table : Interest_table.t;
-  subs : Socket.t Fd_map.t; (* fd -> socket the backmap is installed on *)
+  subs : Socket.t option Fd_map.t; (* fd -> socket the backmap is installed on *)
   active : Interest_table.interest Fd_map.t;
       (* Conservative superset of the interests whose next probe might
          do more than a hint-check skip. Everything outside it is
@@ -26,20 +35,26 @@ type t = {
   wq : Socket.waiter Wait_queue.t; (* sleepers inside dp_poll *)
   bufs : Poll.result Ready_buffer.pool; (* result buffers lent to waiters *)
   mutable result_slots : int option;
+  mutable sleepers : call Sleeper.pool;
   mutable closed : bool;
 }
 
-let create ~host ~lookup =
+(* The [active] map's filler for unbound slots; never read or written. *)
+let no_interest =
+  { Interest_table.fd = -1; events = Pollmask.empty; hint = Pollmask.empty; cached = None }
+
+let create_fields ~host ~lookup ~sleepers =
   {
     host;
     lookup;
     key = Socket.new_attach_key ();
     table = Interest_table.create ();
-    subs = Fd_map.create ~initial_capacity:64 ();
-    active = Fd_map.create ~initial_capacity:64 ();
+    subs = Fd_map.create ~initial_capacity:64 ~dummy:None ();
+    active = Fd_map.create ~initial_capacity:64 ~dummy:no_interest ();
     wq = Wait_queue.create ();
     bufs = Ready_buffer.pool ();
     result_slots = None;
+    sleepers;
     closed = false;
   }
 
@@ -75,23 +90,22 @@ let subscribe t fd (sock : Socket.t) =
   in
   let wtoken = Socket.add_watcher sock (fun () -> mark_active t fd) in
   Socket.attach sock ~key:t.key (Dp_sub { token; wtoken });
-  Fd_map.set t.subs fd sock
+  Fd_map.set t.subs fd (Some sock)
 
-let sub_of t sock =
+(* Drop the backmap subscription installed on [sock], if any. *)
+let drop_sub t sock =
   match Socket.attachment sock ~key:t.key with
-  | Some (Dp_sub s) -> Some s
-  | Some _ | None -> None
+  | Dp_sub sub ->
+      Socket.unsubscribe sock sub.token;
+      Socket.remove_watcher sock sub.wtoken;
+      Socket.detach sock ~key:t.key
+  | _ -> ()
 
 let unsubscribe t fd =
-  match Fd_map.find t.subs fd with
+  match Fd_map.get t.subs fd with
   | None -> ()
   | Some sock ->
-      (match sub_of t sock with
-      | Some sub ->
-          Socket.unsubscribe sock sub.token;
-          Socket.remove_watcher sock sub.wtoken;
-          Socket.detach sock ~key:t.key
-      | None -> ());
+      drop_sub t sock;
       ignore (Fd_map.remove t.subs fd)
 
 let write t entries =
@@ -116,7 +130,7 @@ let write t entries =
         mark_active t fd;
         match t.lookup fd with
         | Some sock -> (
-            match Fd_map.find t.subs fd with
+            match Fd_map.get t.subs fd with
             | Some installed when Socket.id installed = Socket.id sock -> ()
             | Some _ ->
                 unsubscribe t fd;
@@ -154,7 +168,7 @@ let probe t (interest : Interest_table.interest) =
   | None -> Pollmask.pollnval
   | Some sock ->
       (* Descriptor reuse: rebind the backmap to the new socket. *)
-      (match Fd_map.find t.subs fd with
+      (match Fd_map.get t.subs fd with
       | Some installed when Socket.id installed = Socket.id sock -> ()
       | Some _ | None ->
           unsubscribe t fd;
@@ -256,6 +270,48 @@ let[@complexity "O(active)"] scan t ~max_results ready =
     Ready_buffer.length ready
   end
 
+(* Hand [ready] to [k]. With the shared mapping there is nothing to
+   copy out. The buffer is lent to [k]; a DP_POLL issued inside [k]
+   gets another one, so this batch survives it. *)
+let finish t ready k =
+  let costs = t.host.Host.costs in
+  if t.result_slots = None then
+    ignore
+      (Host.charge t.host
+         (Time.mul costs.Cost_model.poll_copyout_per_ready (Ready_buffer.length ready)));
+  Host.charge_run t.host ~cost:Time.zero (fun () ->
+      k ready;
+      Ready_buffer.release t.bufs ready)
+
+let stop_sleeping t (sl : call Sleeper.t) =
+  ignore (Wait_queue.unregister t.wq sl.waiter);
+  Sleeper.disarm sl
+
+let wake_up t (sl : call Sleeper.t) =
+  Sleeper.release sl;
+  finish t sl.call.results sl.call.k
+
+let sleep t (sl : call Sleeper.t) =
+  Wait_queue.register t.wq sl.waiter;
+  Sleeper.arm sl
+
+let on_wake t (sl : call Sleeper.t) =
+  stop_sleeping t sl;
+  if scan t ~max_results:sl.call.cap sl.call.results > 0 then wake_up t sl else sleep t sl
+
+let on_expire t sl =
+  stop_sleeping t sl;
+  wake_up t sl
+
+let create ~host ~lookup =
+  let engine = host.Host.engine in
+  let placeholder = Sleeper.pool ~engine ~call:new_call ~on_wake:ignore ~on_expire:ignore in
+  let t = create_fields ~host ~lookup ~sleepers:placeholder in
+  t.sleepers <-
+    Sleeper.pool ~engine ~call:new_call ~on_wake:(fun sl -> on_wake t sl)
+      ~on_expire:(fun sl -> on_expire t sl);
+  t
+
 let[@complexity "O(active)"] dp_poll t ~max_results ~timeout ~k =
   check_open t;
   if max_results <= 0 then invalid_arg "Devpoll.dp_poll: max_results must be positive";
@@ -264,65 +320,23 @@ let[@complexity "O(active)"] dp_poll t ~max_results ~timeout ~k =
   counters.Host.syscalls <- counters.Host.syscalls + 1;
   ignore (Host.charge t.host costs.Cost_model.syscall_entry);
   let ready = Ready_buffer.acquire t.bufs in
-  let finish () =
-    (* With the shared mapping there is nothing to copy out. *)
-    if t.result_slots = None then
-      ignore
-        (Host.charge t.host
-           (Time.mul costs.Cost_model.poll_copyout_per_ready (Ready_buffer.length ready)));
-    (* The buffer is lent to [k]; a DP_POLL issued inside [k] gets
-       another one, so this batch survives it. *)
-    Host.charge_run t.host ~cost:Time.zero (fun () ->
-        k ready;
-        Ready_buffer.release t.bufs ready)
-  in
   let cap =
     match t.result_slots with
     | Some slots -> Stdlib.min max_results slots
     | None -> max_results
   in
-  if scan t ~max_results:cap ready > 0 then finish ()
+  if scan t ~max_results:cap ready > 0 then finish t ready k
   else
     match timeout with
-    | Some x when x <= Time.zero -> finish ()
+    | Some x when x <= Time.zero -> finish t ready k
     | _ ->
-        let timer = ref None in
-        let waiter_ref = ref None in
-        let cleanup () =
-          (match !waiter_ref with
-          | Some w -> ignore (Wait_queue.unregister t.wq w)
-          | None -> ());
-          match !timer with
-          | Some h ->
-              Engine.cancel t.host.Host.engine h;
-              timer := None
-          | None -> ()
-        in
-        let rec on_wake _mask =
-          cleanup ();
-          if scan t ~max_results:cap ready > 0 then finish ()
-          else begin
-            let w = { Socket.wake = on_wake } in
-            waiter_ref := Some w;
-            Wait_queue.register t.wq w;
-            arm_timer ()
-          end
-        and arm_timer () =
-          match timeout with
-          | None -> ()
-          | Some x ->
-              timer :=
-                Some
-                  (Engine.after t.host.Host.engine x (fun () ->
-                       timer := None;
-                       cleanup ();
-                       finish ()))
-        in
-        let w = { Socket.wake = on_wake } in
-        waiter_ref := Some w;
-        Wait_queue.register t.wq w;
+        let sl = Sleeper.acquire t.sleepers ~timeout in
+        sl.call.cap <- cap;
+        sl.call.results <- ready;
+        sl.call.k <- k;
+        (* Only the first registration of a call is charged. *)
         ignore (Host.charge t.host costs.Cost_model.wait_queue_register);
-        arm_timer ()
+        sleep t sl
 
 let interest_count t = Interest_table.length t.table
 let find_interest t fd = Interest_table.find t.table fd
@@ -331,13 +345,7 @@ let active_fds t = List.map fst (Fd_map.to_list t.active)
 
 let close t =
   if not t.closed then begin
-    Fd_map.iter t.subs (fun _ sock ->
-        match sub_of t sock with
-        | Some sub ->
-            Socket.unsubscribe sock sub.token;
-            Socket.remove_watcher sock sub.wtoken;
-            Socket.detach sock ~key:t.key
-        | None -> ());
+    Fd_map.iter t.subs (fun _ sock -> Option.iter (drop_sub t) sock);
     Fd_map.clear t.subs;
     Fd_map.clear t.active;
     t.closed <- true

@@ -1,6 +1,10 @@
 open Sio_sim
 
-type read_result = Data of string * int | Eof | Eagain | Econnreset
+type read_result = Data | Eof | Eagain | Econnreset
+
+type read_buf = { mutable text : string; mutable bytes : int }
+
+let read_buf () = { text = ""; bytes = 0 }
 
 type 'a syscall_result = ('a, [ `Ebadf | `Emfile | `Eagain | `Einval ]) result
 
@@ -29,32 +33,32 @@ let accept proc fd =
   let costs = host.Host.costs in
   match Process.lookup_socket proc fd with
   | None -> Error `Ebadf
-  | Some listener -> (
-      match Socket.accept_pop listener with
-      | None -> Error `Eagain
-      | Some sock ->
-          if not (Socket.reserve_kernel_memory sock) then begin
-            (* Modeled kernel memory exhausted: the connection is
-               dropped before an fd is minted (the RST surfaces
-               through the socket's observers). *)
-            Socket.reset sock;
-            Socket.discard sock;
-            Error `Enobufs
-          end
-          else begin
-            ignore (Host.charge host costs.Cost_model.accept_syscall);
-            host.Host.counters.Host.accepts <- host.Host.counters.Host.accepts + 1;
-            match Process.install_socket proc sock with
-            | Ok newfd -> Ok (newfd, sock)
-            | Error `Emfile ->
-                (* Out of descriptors: the connection is dropped and
-                   its arena slot reclaimed. *)
-                Socket.reset sock;
-                Socket.discard sock;
-                Error `Emfile
-          end)
+  | Some listener ->
+      if Socket.accept_queue_length listener = 0 then Error `Eagain
+      else
+        let sock = Socket.accept_take listener in
+        if not (Socket.reserve_kernel_memory sock) then begin
+          (* Modeled kernel memory exhausted: the connection is
+             dropped before an fd is minted (the RST reaches the
+             client through the socket's TCP peer). *)
+          Socket.reset sock;
+          Socket.discard sock;
+          Error `Enobufs
+        end
+        else begin
+          ignore (Host.charge host costs.Cost_model.accept_syscall);
+          host.Host.counters.Host.accepts <- host.Host.counters.Host.accepts + 1;
+          match Process.install_socket proc sock with
+          | Ok newfd -> Ok newfd
+          | Error `Emfile ->
+              (* Out of descriptors: the connection is dropped and
+                 its arena slot reclaimed. *)
+              Socket.reset sock;
+              Socket.discard sock;
+              Error `Emfile
+        end
 
-let read proc fd =
+let read proc fd ~into =
   let host = enter proc Time.zero in
   let costs = host.Host.costs in
   ignore (Host.charge host costs.Cost_model.read_syscall);
@@ -66,10 +70,13 @@ let read proc fd =
       | Socket.Closed -> Error `Ebadf
       | Socket.Listening -> Error `Einval
       | Socket.Established | Socket.Peer_closed ->
-          let bytes, text = Socket.read_all sock in
+          let bytes = Socket.drain sock in
+          let text = Socket.take_payload sock in
           if bytes > 0 then begin
             ignore (Host.charge host (Cost_model.copy_cost costs ~bytes_len:bytes));
-            Ok (Data (text, bytes))
+            into.text <- text;
+            into.bytes <- bytes;
+            Ok Data
           end
           else if Socket.state sock = Socket.Peer_closed then Ok Eof
           else Ok Eagain)
@@ -169,7 +176,7 @@ let close proc fd =
   let costs = host.Host.costs in
   match Fd_table.close (Process.fds proc) fd with
   | None -> Error `Ebadf
-  | Some (Process.Sock sock) ->
+  | Some (Process.Sock { sock; _ }) ->
       ignore (Host.charge host costs.Cost_model.close_syscall);
       Socket.close sock;
       Ok ()

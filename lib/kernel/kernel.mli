@@ -11,10 +11,18 @@
 open Sio_sim
 
 type read_result =
-  | Data of string * int  (** payload text and byte count *)
+  | Data  (** bytes were read into the caller's {!read_buf} *)
   | Eof  (** orderly shutdown by the peer *)
   | Eagain  (** nothing buffered *)
   | Econnreset
+
+type read_buf = { mutable text : string; mutable bytes : int }
+(** The user-space buffer {!read} fills, owned by the caller and reused
+    across reads (as read(2)'s buffer is), so a read allocates
+    nothing. After a [Data] result it holds the payload text and the
+    byte count of that read. *)
+
+val read_buf : unit -> read_buf
 
 type 'a syscall_result = ('a, [ `Ebadf | `Emfile | `Eagain | `Einval ]) result
 
@@ -30,16 +38,16 @@ val listen : Process.t -> backlog:int -> int syscall_result
 (** socket() + bind() + listen(): a listening descriptor. *)
 
 val accept :
-  Process.t ->
-  int ->
-  (int * Socket.t, [ `Ebadf | `Emfile | `Eagain | `Einval | `Enobufs ]) result
-(** [`Eagain] when the accept queue is empty; [`Emfile] when the
+  Process.t -> int -> (int, [ `Ebadf | `Emfile | `Eagain | `Einval | `Enobufs ]) result
+(** The new connection's descriptor ({!Process.lookup_socket} gives its
+    socket). [`Eagain] when the accept queue is empty; [`Emfile] when the
     process is out of descriptors; [`Enobufs] when the host's modeled
     kernel-memory budget ({!Host.t.mem_limit}) cannot fit another
     connection. In both drop cases the connection is reset and its
     arena slot reclaimed, as the real kernel does. *)
 
-val read : Process.t -> int -> read_result syscall_result
+val read : Process.t -> int -> into:read_buf -> read_result syscall_result
+(** On [Data], [into] holds the text and byte count read. *)
 
 val write : Process.t -> int -> bytes_len:int -> (int, write_error) result
 (** Returns bytes accepted into the send buffer (possibly short; 0

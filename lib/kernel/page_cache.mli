@@ -6,8 +6,6 @@
     shows up in the figures — but the filesystem substrate supports
     larger-than-cache working sets for the document-size experiments. *)
 
-type key = { file_id : int; page : int }
-
 type t
 
 val create : capacity_pages:int -> t
@@ -16,12 +14,13 @@ val create : capacity_pages:int -> t
 val capacity : t -> int
 val resident : t -> int
 
-val touch : t -> key -> [ `Hit | `Miss ]
+val touch : t -> file_id:int -> page:int -> [ `Hit | `Miss ]
 (** Looks the page up; on a miss it is brought in (evicting the least
     recently used page if full). Either way the page becomes most
-    recently used. *)
+    recently used. Allocation-free on a hit. Page indices must fit in
+    32 bits. *)
 
-val contains : t -> key -> bool
+val contains : t -> file_id:int -> page:int -> bool
 (** Pure lookup without promotion; for tests. *)
 
 val hits : t -> int

@@ -116,6 +116,24 @@ module Pset = struct
     mutable last : result; (* the last probe's answer, reported as is *)
   }
 
+  (* The state of a poll() call over the set that went to sleep.
+     [sockets] is the snapshot, taken when the call first sleeps, of
+     the sockets it registers on. *)
+  type call = {
+    mutable n : int; (* interests charged per (un)registration *)
+    sockets : Socket.t Ready_buffer.t;
+    mutable results : result Ready_buffer.t;
+    mutable k : result Ready_buffer.t -> unit;
+  }
+
+  let new_call () =
+    {
+      n = 0;
+      sockets = Ready_buffer.create ();
+      results = Ready_buffer.create ~initial_capacity:1 ();
+      k = ignore;
+    }
+
   type pset = {
     host : Host.t;
     lookup : int -> Socket.t option;
@@ -130,18 +148,24 @@ module Pset = struct
     ready : entry Fd_map.t; (* by rank, the entries whose [last] is ready *)
     bufs : result Ready_buffer.pool;
     mutable next_rank : int;
+    mutable sleepers : call Sleeper.pool;
   }
 
-  let create ~host ~lookup () =
+  (* The maps' filler for unbound slots; never read or written. *)
+  let no_entry =
+    { fd = -1; rank = -1; events = Pollmask.empty; bound = None; last = { fd = -1; revents = Pollmask.empty } }
+
+  let create_fields ~host ~lookup ~sleepers =
     {
       host;
       lookup;
-      entries = Fd_map.create ~initial_capacity:64 ();
-      members = Fd_map.create ~initial_capacity:64 ();
-      active = Fd_map.create ~initial_capacity:64 ();
-      ready = Fd_map.create ~initial_capacity:64 ();
+      entries = Fd_map.create ~initial_capacity:64 ~dummy:no_entry ();
+      members = Fd_map.create ~initial_capacity:64 ~dummy:no_entry ();
+      active = Fd_map.create ~initial_capacity:64 ~dummy:no_entry ();
+      ready = Fd_map.create ~initial_capacity:64 ~dummy:no_entry ();
       bufs = Ready_buffer.pool ();
       next_rank = 0;
+      sleepers;
     }
 
   let mark_dirty s e = if not (Fd_map.mem s.active e.fd) then Fd_map.set s.active e.fd e
@@ -169,11 +193,12 @@ module Pset = struct
     s.next_rank <- !next
 
   let set s fd events =
-    match Fd_map.find s.entries fd with
-    | Some e ->
-        e.events <- events;
-        mark_dirty s e
-    | None ->
+    if Fd_map.mem s.entries fd then begin
+      let e = Fd_map.get s.entries fd in
+      e.events <- events;
+      mark_dirty s e
+    end
+    else begin
         if s.next_rank >= (2 * Fd_map.length s.entries) + 64 then compact s;
         let e =
           {
@@ -188,16 +213,17 @@ module Pset = struct
         Fd_map.set s.entries fd e;
         Fd_map.set s.members e.rank e;
         Fd_map.set s.active fd e
+    end
 
   let remove s fd =
-    match Fd_map.find s.entries fd with
-    | None -> ()
-    | Some e ->
-        unbind e;
-        ignore (Fd_map.remove s.entries fd);
-        ignore (Fd_map.remove s.members e.rank);
-        ignore (Fd_map.remove s.active fd);
-        ignore (Fd_map.remove s.ready e.rank)
+    if Fd_map.mem s.entries fd then begin
+      let e = Fd_map.get s.entries fd in
+      unbind e;
+      ignore (Fd_map.remove s.entries fd);
+      ignore (Fd_map.remove s.members e.rank);
+      ignore (Fd_map.remove s.active fd);
+      ignore (Fd_map.remove s.ready e.rank)
+    end
 
   let mem s fd = Fd_map.mem s.entries fd
   let length s = Fd_map.length s.entries
@@ -253,6 +279,66 @@ module Pset = struct
     Fd_map.iter s.ready (fun _ e -> Ready_buffer.push ready e.last);
     Ready_buffer.length ready
 
+  (* Hand [ready] to [k] once the copy-out is charged; the buffer is
+     lent until [k] returns. *)
+  let finish s ready k =
+    let host = s.host in
+    ignore
+      (Host.charge host
+         (Time.mul host.Host.costs.Cost_model.poll_copyout_per_ready
+            (Ready_buffer.length ready)));
+    Host.charge_run host ~cost:Time.zero (fun () ->
+        k ready;
+        Ready_buffer.release s.bufs ready)
+
+  (* Registration and removal walk the snapshot from the highest fd
+     down. *)
+  let register_all s (sl : call Sleeper.t) =
+    let sockets = sl.call.sockets in
+    for i = Ready_buffer.length sockets - 1 downto 0 do
+      Socket.register_waiter (Ready_buffer.get sockets i) sl.waiter
+    done;
+    ignore
+      (Host.charge s.host
+         (Time.mul s.host.Host.costs.Cost_model.wait_queue_register sl.call.n))
+
+  let stop_sleeping s (sl : call Sleeper.t) =
+    let sockets = sl.call.sockets in
+    for i = Ready_buffer.length sockets - 1 downto 0 do
+      ignore (Socket.unregister_waiter (Ready_buffer.get sockets i) sl.waiter)
+    done;
+    ignore
+      (Host.charge s.host
+         (Time.mul s.host.Host.costs.Cost_model.wait_queue_unregister sl.call.n));
+    Sleeper.disarm sl
+
+  let wake_up s (sl : call Sleeper.t) =
+    Sleeper.release sl;
+    finish s sl.call.results sl.call.k
+
+  (* Wakeup rescans the whole set, as Linux 2.2 does; a spurious wakeup
+     (event consumed elsewhere) sleeps again. *)
+  let on_wake s (sl : call Sleeper.t) =
+    stop_sleeping s sl;
+    if scan_set s sl.call.results > 0 then wake_up s sl
+    else begin
+      register_all s sl;
+      Sleeper.arm sl
+    end
+
+  let on_expire s sl =
+    stop_sleeping s sl;
+    wake_up s sl
+
+  let create ~host ~lookup () =
+    let engine = host.Host.engine in
+    let placeholder = Sleeper.pool ~engine ~call:new_call ~on_wake:ignore ~on_expire:ignore in
+    let s = create_fields ~host ~lookup ~sleepers:placeholder in
+    s.sleepers <-
+      Sleeper.pool ~engine ~call:new_call ~on_wake:(fun sl -> on_wake s sl)
+        ~on_expire:(fun sl -> on_expire s sl);
+    s
+
   (* poll() over the persistent set: charge-for-charge the same call
      sequence as [wait] — syscall entry, scan, sleep registration on
      every interest's socket, full rescan per wake, copy-out per ready.
@@ -265,61 +351,21 @@ module Pset = struct
     counters.Host.syscalls <- counters.Host.syscalls + 1;
     ignore (Host.charge host costs.Cost_model.syscall_entry);
     let ready = Ready_buffer.acquire s.bufs in
-    let finish () =
-      ignore
-        (Host.charge host
-           (Time.mul costs.Cost_model.poll_copyout_per_ready (Ready_buffer.length ready)));
-      Host.charge_run host ~cost:Time.zero (fun () ->
-          k ready;
-          Ready_buffer.release s.bufs ready)
-    in
-    if scan_set s ready > 0 then finish ()
+    if scan_set s ready > 0 then finish s ready k
     else
       match timeout with
-      | Some t when t <= Time.zero -> finish ()
+      | Some t when t <= Time.zero -> finish s ready k
       | _ ->
-          let sockets =
-            Fd_map.fold s.entries ~init:[] ~f:(fun acc fd _ ->
-                match s.lookup fd with Some sock -> sock :: acc | None -> acc)
-          in
-          let n = Fd_map.length s.entries in
-          ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-          let timer = ref None in
-          let waiter_ref = ref None in
-          let cleanup () =
-            (match !waiter_ref with
-            | Some w -> List.iter (fun sock -> ignore (Socket.unregister_waiter sock w)) sockets
-            | None -> ());
-            ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_unregister n));
-            match !timer with
-            | Some h ->
-                Engine.cancel host.Host.engine h;
-                timer := None
-            | None -> ()
-          in
-          let rec on_wake _mask =
-            cleanup ();
-            if scan_set s ready > 0 then finish ()
-            else begin
-              let w = { Socket.wake = on_wake } in
-              waiter_ref := Some w;
-              List.iter (fun sock -> Socket.register_waiter sock w) sockets;
-              ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-              arm_timer ()
-            end
-          and arm_timer () =
-            match timeout with
-            | None -> ()
-            | Some t ->
-                timer :=
-                  Some
-                    (Engine.after host.Host.engine t (fun () ->
-                         timer := None;
-                         cleanup ();
-                         finish ()))
-          in
-          let w = { Socket.wake = on_wake } in
-          waiter_ref := Some w;
-          List.iter (fun sock -> Socket.register_waiter sock w) sockets;
-          arm_timer ()
+          let sl = Sleeper.acquire s.sleepers ~timeout in
+          let call = sl.call in
+          call.results <- ready;
+          call.k <- k;
+          call.n <- Fd_map.length s.entries;
+          Ready_buffer.clear call.sockets;
+          Fd_map.iter s.entries (fun fd _ ->
+              match s.lookup fd with
+              | Some sock -> Ready_buffer.push call.sockets sock
+              | None -> ());
+          register_all s sl;
+          Sleeper.arm sl
 end

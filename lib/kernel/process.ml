@@ -1,4 +1,4 @@
-type resource = Sock of Socket.t | Dev of Devpoll.t
+type resource = Sock of { sock : Socket.t; boxed : Socket.t option } | Dev of Devpoll.t
 
 type t = {
   name : string;
@@ -22,7 +22,7 @@ let rt_queue t = t.rt_queue
 
 let lookup_socket t fd =
   match Fd_table.find t.fds fd with
-  | Some (Sock s) -> Some s
+  | Some (Sock { boxed; _ }) -> boxed
   | Some (Dev _) | None -> None
 
 let lookup_devpoll t fd =
@@ -30,5 +30,5 @@ let lookup_devpoll t fd =
   | Some (Dev d) -> Some d
   | Some (Sock _) | None -> None
 
-let install_socket t sock = Fd_table.alloc t.fds (Sock sock)
+let install_socket t sock = Fd_table.alloc t.fds (Sock { sock; boxed = Some sock })
 let open_fd_count t = Fd_table.count t.fds

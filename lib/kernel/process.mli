@@ -5,7 +5,11 @@
     Owns a descriptor table and an RT-signal queue. All processes on
     one host share the host's CPU. *)
 
-type resource = Sock of Socket.t | Dev of Devpoll.t
+type resource =
+  | Sock of { sock : Socket.t; boxed : Socket.t option }
+      (** [boxed] is [Some sock], built once when the descriptor is
+          installed so that {!lookup_socket} allocates nothing. *)
+  | Dev of Devpoll.t
 
 type t
 

@@ -13,6 +13,10 @@ type entry = { info : siginfo; seq : int }
    index so rebinds and clears can find the old socket. *)
 type Conn_arena.cold += Rt_binding of { token : int }
 
+(* A blocked sigwait caller. A timed-out waiter is marked dead and
+   skipped when reached, instead of being cut out of the queue. *)
+type waiter = { k : delivery list -> unit; max : int; mutable live : bool }
+
 type queue = {
   host : Host.t;
   limit : int;
@@ -20,9 +24,8 @@ type queue = {
   mutable next_seq : int;
   mutable sigio : bool;
   key : int; (* attach key naming this queue's bindings *)
-  bindings : Socket.t Fd_map.t; (* fd -> socket the signal is bound on *)
-  waiters : (delivery list -> unit) Queue.t; (* blocked sigwait callers *)
-  mutable waiter_max : int Queue.t; (* parallel queue of batch sizes *)
+  bindings : Socket.t option Fd_map.t; (* fd -> socket the signal is bound on *)
+  waiters : waiter Queue.t; (* blocked sigwait callers, oldest first *)
 }
 
 (* The heap's filler for unused slots, allocated once (see {!Heap.create}). *)
@@ -41,9 +44,8 @@ let create_queue ~host ?(limit = 1024) () =
     next_seq = 0;
     sigio = false;
     key = Socket.new_attach_key ();
-    bindings = Fd_map.create ~initial_capacity:64 ();
+    bindings = Fd_map.create ~initial_capacity:64 ~dummy:None ();
     waiters = Queue.create ();
-    waiter_max = Queue.create ();
   }
 
 let pending q = Heap.length q.heap
@@ -75,10 +77,12 @@ let service_waiters q =
   while
     (not (Queue.is_empty q.waiters)) && (q.sigio || not (Heap.is_empty q.heap))
   do
-    let k = Queue.take q.waiters in
-    let max = Queue.take q.waiter_max in
-    let ds = take q max in
-    Host.charge_run q.host ~cost:Time.zero (fun () -> k ds)
+    let w = Queue.take q.waiters in
+    if w.live then begin
+      w.live <- false;
+      let ds = take q w.max in
+      Host.charge_run q.host ~cost:Time.zero (fun () -> w.k ds)
+    end
   done
 
 let enqueue q info =
@@ -100,6 +104,14 @@ let enqueue q info =
   end;
   service_waiters q
 
+(* Drop the signal binding installed on [sock], if any. *)
+let unbind q sock =
+  match Socket.attachment sock ~key:q.key with
+  | Rt_binding { token } ->
+      Socket.unsubscribe sock token;
+      Socket.detach sock ~key:q.key
+  | _ -> ()
+
 let set_signal q ~socket ~fd ~signo =
   if signo < sigrtmin then invalid_arg "Rt_signal.set_signal: signo below SIGRTMIN";
   let costs = q.host.Host.costs in
@@ -107,20 +119,16 @@ let set_signal q ~socket ~fd ~signo =
   counters.Host.syscalls <- counters.Host.syscalls + 1;
   ignore (Host.charge q.host costs.Cost_model.syscall_entry);
   ignore (Host.charge q.host costs.Cost_model.fcntl_call);
-  (match Fd_map.find q.bindings fd with
+  (match Fd_map.get q.bindings fd with
   | Some old_sock ->
-      (match Socket.attachment old_sock ~key:q.key with
-      | Some (Rt_binding { token }) ->
-          Socket.unsubscribe old_sock token;
-          Socket.detach old_sock ~key:q.key
-      | Some _ | None -> ());
+      unbind q old_sock;
       ignore (Fd_map.remove q.bindings fd)
   | None -> ());
   let token =
     Socket.subscribe socket (fun mask -> enqueue q { signo; fd; band = mask })
   in
   Socket.attach socket ~key:q.key (Rt_binding { token });
-  Fd_map.set q.bindings fd socket
+  Fd_map.set q.bindings fd (Some socket)
 
 let clear_signal q ~socket ~fd =
   let costs = q.host.Host.costs in
@@ -128,13 +136,9 @@ let clear_signal q ~socket ~fd =
   counters.Host.syscalls <- counters.Host.syscalls + 1;
   ignore (Host.charge q.host costs.Cost_model.syscall_entry);
   ignore (Host.charge q.host costs.Cost_model.fcntl_call);
-  match Fd_map.find q.bindings fd with
+  match Fd_map.get q.bindings fd with
   | Some bound_sock when bound_sock == socket ->
-      (match Socket.attachment bound_sock ~key:q.key with
-      | Some (Rt_binding { token }) ->
-          Socket.unsubscribe bound_sock token;
-          Socket.detach bound_sock ~key:q.key
-      | Some _ | None -> ());
+      unbind q bound_sock;
       ignore (Fd_map.remove q.bindings fd)
   | Some _ | None -> ()
 
@@ -151,31 +155,20 @@ let[@complexity "O(ready)"] wait_general q ~max ~timeout ~k =
   else
     match timeout with
     | Some t when t <= Time.zero -> Host.charge_run q.host ~cost:Time.zero (fun () -> k [])
-    | _ ->
-        Queue.add k q.waiters;
-        Queue.add max q.waiter_max;
-        (match timeout with
+    | _ -> (
+        let w = { k; max; live = true } in
+        Queue.add w q.waiters;
+        match timeout with
         | None -> ()
         | Some t ->
+            (* The timer is never cancelled: if the waiter was served
+               first, the expiry finds it dead and does nothing. *)
             ignore
               (Engine.after q.host.Host.engine t (fun () ->
-                   (* If still waiting, deliver an empty result. This
-                      linear removal only runs on timeouts, which are
-                      rare in every workload we model. *)
-                   let still_waiting = ref false in
-                   let ks = Queue.to_seq q.waiters |> List.of_seq in
-                   let ms = Queue.to_seq q.waiter_max |> List.of_seq in
-                   Queue.clear q.waiters;
-                   Queue.clear q.waiter_max;
-                   List.iter2
-                     (fun k' m ->
-                       if k' == k then still_waiting := true
-                       else begin
-                         Queue.add k' q.waiters;
-                         Queue.add m q.waiter_max
-                       end)
-                     ks ms;
-                   if !still_waiting then k [])))
+                   if w.live then begin
+                     w.live <- false;
+                     w.k []
+                   end)))
 
 let[@complexity "O(ready)"] sigwaitinfo q ~k =
   wait_general q ~max:1 ~timeout:None ~k:(fun ds ->

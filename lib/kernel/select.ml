@@ -130,6 +130,13 @@ let[@complexity "O(interests)"] select ~host ~lookup ~read ~write ~except ~timeo
 module Sset = struct
   type member = { fd : int; mutable bound : (Socket.t * int) option }
 
+  (* The state of a select() call over the set that went to sleep.
+     [sockets] is the snapshot, taken when the call first sleeps, of
+     the sockets it registers on. *)
+  type call = { sockets : Socket.t Ready_buffer.t; mutable k : result -> unit }
+
+  let new_call () = { sockets = Ready_buffer.create (); k = ignore }
+
   type sset = {
     host : Host.t;
     lookup : int -> Socket.t option;
@@ -141,16 +148,21 @@ module Sset = struct
            result bit. Everything outside it was last seen reporting
            nothing on a live, watcher-bound socket, so its probe is
            exactly one driver callback with no bits set. *)
+    mutable sleepers : call Sleeper.pool;
   }
 
-  let create ~host ~lookup () =
+  (* The maps' filler for unbound slots; never read or written. *)
+  let no_member = { fd = -1; bound = None }
+
+  let create_fields ~host ~lookup ~sleepers =
     {
       host;
       lookup;
       read = Fd_set.create ();
       write = Fd_set.create ();
-      members = Fd_map.create ~initial_capacity:64 ();
-      active = Fd_map.create ~initial_capacity:64 ();
+      members = Fd_map.create ~initial_capacity:64 ~dummy:no_member ();
+      active = Fd_map.create ~initial_capacity:64 ~dummy:no_member ();
+      sleepers;
     }
 
   let unbind m =
@@ -163,11 +175,10 @@ module Sset = struct
   let remove s fd =
     Fd_set.clear s.read fd;
     Fd_set.clear s.write fd;
-    (match Fd_map.find s.members fd with
-    | Some m ->
-        unbind m;
-        ignore (Fd_map.remove s.members fd)
-    | None -> ());
+    if Fd_map.mem s.members fd then begin
+      unbind (Fd_map.get s.members fd);
+      ignore (Fd_map.remove s.members fd)
+    end;
     ignore (Fd_map.remove s.active fd)
 
   (* Same bit discipline as thttpd's backend: readable interest sets
@@ -181,12 +192,12 @@ module Sset = struct
     else Fd_set.clear s.write fd;
     if Fd_set.mem s.read fd || Fd_set.mem s.write fd then begin
       let m =
-        match Fd_map.find s.members fd with
-        | Some m -> m
-        | None ->
-            let m = { fd; bound = None } in
-            Fd_map.set s.members fd m;
-            m
+        if Fd_map.mem s.members fd then Fd_map.get s.members fd
+        else begin
+          let m = { fd; bound = None } in
+          Fd_map.set s.members fd m;
+          m
+        end
       in
       Fd_map.set s.active fd m
     end
@@ -265,6 +276,56 @@ module Sset = struct
             if not !any then ignore (Fd_map.remove s.active fd)));
     ({ readable = r; writable = w; except = e }, !ready)
 
+  let finish s result k = Host.charge_run s.host ~cost:Time.zero (fun () -> k result)
+
+  let charge_per_socket s (sl : call Sleeper.t) cost =
+    ignore (Host.charge s.host (Time.mul cost (Ready_buffer.length sl.call.sockets)))
+
+  (* Registration and removal walk the snapshot from the highest fd
+     down. *)
+  let register_all s (sl : call Sleeper.t) =
+    let sockets = sl.call.sockets in
+    for i = Ready_buffer.length sockets - 1 downto 0 do
+      Socket.register_waiter (Ready_buffer.get sockets i) sl.waiter
+    done;
+    charge_per_socket s sl s.host.Host.costs.Cost_model.wait_queue_register
+
+  let stop_sleeping s (sl : call Sleeper.t) =
+    let sockets = sl.call.sockets in
+    for i = Ready_buffer.length sockets - 1 downto 0 do
+      ignore (Socket.unregister_waiter (Ready_buffer.get sockets i) sl.waiter)
+    done;
+    charge_per_socket s sl s.host.Host.costs.Cost_model.wait_queue_unregister;
+    Sleeper.disarm sl
+
+  let wake_up s (sl : call Sleeper.t) result =
+    Sleeper.release sl;
+    finish s result sl.call.k
+
+  let on_wake s sl =
+    stop_sleeping s sl;
+    let result, ready = scan_sset s in
+    if ready > 0 then wake_up s sl result
+    else begin
+      register_all s sl;
+      Sleeper.arm sl
+    end
+
+  (* The rescan at timeout expiry. *)
+  let on_expire s sl =
+    stop_sleeping s sl;
+    let result, _ = scan_sset s in
+    wake_up s sl result
+
+  let create ~host ~lookup () =
+    let engine = host.Host.engine in
+    let placeholder = Sleeper.pool ~engine ~call:new_call ~on_wake:ignore ~on_expire:ignore in
+    let s = create_fields ~host ~lookup ~sleepers:placeholder in
+    s.sleepers <-
+      Sleeper.pool ~engine ~call:new_call ~on_wake:(fun sl -> on_wake s sl)
+        ~on_expire:(fun sl -> on_expire s sl);
+    s
+
   (* select() over the persistent set: charge-for-charge the same call
      sequence as [select], including the rescan at timeout expiry. *)
   let[@complexity "O(interests)"] wait_sset s ~timeout ~k =
@@ -273,58 +334,20 @@ module Sset = struct
     let counters = host.Host.counters in
     counters.Host.syscalls <- counters.Host.syscalls + 1;
     ignore (Host.charge host costs.Cost_model.syscall_entry);
-    let finish result = Host.charge_run host ~cost:Time.zero (fun () -> k result) in
     let first, ready = scan_sset s in
-    if ready > 0 then finish first
+    if ready > 0 then finish s first k
     else
       match timeout with
-      | Some t when t <= Time.zero -> finish first
+      | Some t when t <= Time.zero -> finish s first k
       | _ ->
-          let sockets =
-            Fd_map.fold s.members ~init:[] ~f:(fun acc fd _ ->
-                match s.lookup fd with Some sock -> sock :: acc | None -> acc)
-          in
-          let n = List.length sockets in
-          ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-          let timer = ref None in
-          let waiter_ref = ref None in
-          let cleanup () =
-            (match !waiter_ref with
-            | Some wtr ->
-                List.iter (fun sock -> ignore (Socket.unregister_waiter sock wtr)) sockets
-            | None -> ());
-            ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_unregister n));
-            match !timer with
-            | Some h ->
-                Engine.cancel host.Host.engine h;
-                timer := None
-            | None -> ()
-          in
-          let rec on_wake _mask =
-            cleanup ();
-            let result, ready = scan_sset s in
-            if ready > 0 then finish result
-            else begin
-              let wtr = { Socket.wake = on_wake } in
-              waiter_ref := Some wtr;
-              List.iter (fun sock -> Socket.register_waiter sock wtr) sockets;
-              ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-              arm_timer ()
-            end
-          and arm_timer () =
-            match timeout with
-            | None -> ()
-            | Some t ->
-                timer :=
-                  Some
-                    (Engine.after host.Host.engine t (fun () ->
-                         timer := None;
-                         cleanup ();
-                         let result, _ = scan_sset s in
-                         finish result))
-          in
-          let wtr = { Socket.wake = on_wake } in
-          waiter_ref := Some wtr;
-          List.iter (fun sock -> Socket.register_waiter sock wtr) sockets;
-          arm_timer ()
+          let sl = Sleeper.acquire s.sleepers ~timeout in
+          let call = sl.call in
+          call.k <- k;
+          Ready_buffer.clear call.sockets;
+          Fd_map.iter s.members (fun fd _ ->
+              match s.lookup fd with
+              | Some sock -> Ready_buffer.push call.sockets sock
+              | None -> ());
+          register_all s sl;
+          Sleeper.arm sl
 end

@@ -1,15 +1,49 @@
 (* A socket is a thin generation-stamped handle over the host's
    connection arena: the hot scalars (state, buffer levels, flags)
    live in [Conn_arena] columns, and everything pointer-shaped
-   (closures, payload text, the accept queue) lives in a lazily
-   created cold record hanging off the arena's side table. Closing a
-   socket frees its slot, which stales every outstanding handle in
-   O(1); stale handles read as [Closed]/POLLNVAL and every mutating
-   operation on them is inert. *)
+   (payload text, the TCP peer, registrations, the accept queue)
+   lives in a lazily created cold record hanging off the arena's side
+   table. Closing a socket frees its slot, which stales every
+   outstanding handle in O(1); stale handles read as [Closed]/POLLNVAL
+   and every mutating operation on them is inert. *)
+
+open Sio_sim
+open Sio_net
 
 type state = Listening | Established | Peer_closed | Reset | Closed
 
 type t = { host : Host.t; slot : int; gen : int; id : int }
+
+type user = ..
+type user += No_user
+
+(* The client end of a TCP connection. [Tcp] creates and drives it;
+   it is defined here so that a socket reaches its peer through one
+   pointer and its output path (data, FIN, RST toward the client)
+   needs no per-connection closure. *)
+type peer =
+  | No_peer
+  | Peer of {
+      net : Network.t;
+      listener : t;
+      extra_latency : Time.t;
+      handlers : handlers;
+      conn_id : int;
+      mutable server_sock : t; (* [listener] until the SYN is accepted *)
+      mutable client_open : bool;
+      mutable user : user;
+    }
+
+and handlers = {
+  on_established : peer -> unit;
+  on_refused : peer -> unit;
+  on_bytes : peer -> int -> unit;
+  on_server_fin : peer -> unit;
+  on_reset : peer -> unit;
+}
+
+(* TCP/IP header bytes of a segment without payload: SYN, FIN, RST. *)
+let segment_overhead = 40
 
 type waiter = { wake : Pollmask.t -> unit }
 
@@ -45,7 +79,9 @@ let flag_mem = 2
    preserve the prepend-list semantics the seed had: additions made
    during a notification are not seen by that notification, removals
    are (entry records are shared between the live slab and a walk in
-   progress). *)
+   progress). A shared empty slab stands for "none yet" in the cold
+   record: it is never written, because [add] is only ever applied to
+   a slab the cold record owns (see [observers_for_add]). *)
 module Regs = struct
   type 'f entry = { tok : int; mutable fn : 'f option }
 
@@ -113,14 +149,20 @@ module Regs = struct
     done
 end
 
+(* The sub-structures only some sockets need start as shared empty
+   sentinels and are replaced by owned ones on first use: an accept
+   queue for listeners, a wait queue for poll sleepers, registration
+   slabs for observers and watchers. A sentinel is never written:
+   every writer goes through the [*_for_*] accessors below, and the
+   read paths ([Wait_queue.wake] included) only run on non-empty
+   structures. *)
 type cold_rec = {
   accept_q : t Queue.t;
-  waitq : waiter Wait_queue.t;
-  observers : (Pollmask.t -> unit) Regs.t;
-  watchers : (unit -> unit) Regs.t;
-  mutable payload : Buffer.t option;
-  mutable on_send : int -> unit;
-  mutable on_close : unit -> unit;
+  mutable waitq : waiter Wait_queue.t;
+  mutable observers : (Pollmask.t -> unit) Regs.t;
+  mutable watchers : (unit -> unit) Regs.t;
+  mutable payload : string; (* received, unread request text *)
+  mutable peer : peer;
   mutable ring : Zc_ring.t option;
   (* Per-instance backend state (epoll interest, /dev/poll backmap
      tokens, RT-signal binding), keyed by attach key. Fixed slots
@@ -142,28 +184,34 @@ type Conn_arena.cold += No_attachment
 
 type Conn_arena.cold += Sock_cold of cold_rec
 
+let no_accept_q : t Queue.t = Queue.create ()
+let no_waitq : waiter Wait_queue.t = Wait_queue.create ()
+let no_observers : (Pollmask.t -> unit) Regs.t = Regs.create ()
+let no_watchers : (unit -> unit) Regs.t = Regs.create ()
+
 let arena t = t.host.Host.arena
 let live t = Conn_arena.is_live (arena t) ~slot:t.slot ~gen:t.gen
 
-let cold_opt t =
-  match (arena t).Conn_arena.cold.(t.slot) with
-  | Some (Sock_cold c) -> Some c
-  | _ -> None
+(* The slot's cold value, matched in place against [Sock_cold] by the
+   readers: no option is built per lookup. *)
+let cold_of t = (arena t).Conn_arena.cold.(t.slot)
 
 (* Only called on live handles. *)
 let cold t =
-  match (arena t).Conn_arena.cold.(t.slot) with
-  | Some (Sock_cold c) -> c
+  match cold_of t with
+  | Sock_cold c -> c
   | _ ->
+      let a = arena t in
       let c =
         {
-          accept_q = Queue.create ();
-          waitq = Wait_queue.create ();
-          observers = Regs.create ();
-          watchers = Regs.create ();
-          payload = None;
-          on_send = (fun _ -> ());
-          on_close = (fun () -> ());
+          accept_q =
+            (if a.Conn_arena.st.{t.slot} = st_listening then Queue.create ()
+             else no_accept_q);
+          waitq = no_waitq;
+          observers = no_observers;
+          watchers = no_watchers;
+          payload = "";
+          peer = No_peer;
           ring = None;
           a0_key = 0;
           a0 = No_attachment;
@@ -173,8 +221,20 @@ let cold t =
           a2 = No_attachment;
         }
       in
-      (arena t).Conn_arena.cold.(t.slot) <- Some (Sock_cold c);
+      a.Conn_arena.cold.(t.slot) <- Sock_cold c;
       c
+
+let waitq_for_register c =
+  if c.waitq == no_waitq then c.waitq <- Wait_queue.create ();
+  c.waitq
+
+let observers_for_add c =
+  if c.observers == no_observers then c.observers <- Regs.create ();
+  c.observers
+
+let watchers_for_add c =
+  if c.watchers == no_watchers then c.watchers <- Regs.create ();
+  c.watchers
 
 (* Atomic so experiments running on separate domains (Domain_pool)
    never mint duplicate ids; the values themselves carry no meaning
@@ -208,9 +268,9 @@ let hints_supported t =
   live t && (arena t).Conn_arena.flags.{t.slot} land flag_hints <> 0
 
 let notify_watchers t =
-  match cold_opt t with
-  | Some c -> Regs.iter_rev c.watchers (fun f -> f ())
-  | None -> ()
+  match cold_of t with
+  | Sock_cold c -> Regs.iter_rev c.watchers (fun f -> f ())
+  | _ -> ()
 
 (* Toggling hint support invalidates any idle certification a backend
    derived from it, so watchers must re-examine the socket. *)
@@ -231,9 +291,9 @@ let status t =
     let slot = t.slot in
     match a.Conn_arena.st.{slot} with
     | 1 (* Listening *) -> (
-        match cold_opt t with
-        | Some c when not (Queue.is_empty c.accept_q) -> pollin
-        | Some _ | None -> empty)
+        match cold_of t with
+        | Sock_cold c when not (Queue.is_empty c.accept_q) -> pollin
+        | _ -> empty)
     | 2 (* Established *) ->
         let r = if a.Conn_arena.rcv_level.{slot} = 0 then empty else pollin in
         let w =
@@ -261,70 +321,74 @@ let driver_poll t =
   ignore (Host.charge t.host t.host.Host.costs.Cost_model.driver_poll_callback);
   status t
 
-let register_waiter t w = if live t then Wait_queue.register (cold t).waitq w
+let register_waiter t w =
+  if live t then Wait_queue.register (waitq_for_register (cold t)) w
 
 let unregister_waiter t w =
-  match if live t then cold_opt t else None with
-  | Some c -> Wait_queue.unregister c.waitq w
-  | None -> false
+  if not (live t) then false
+  else match cold_of t with Sock_cold c -> Wait_queue.unregister c.waitq w | _ -> false
 
-let subscribe t f =
-  if not (live t) then 0
-  else begin
-    let tok = Regs.add (cold t).observers f in
-    (arena t).Conn_arena.obs_next.{t.slot} <- tok + 1;
-    tok
-  end
+let subscribe t f = if not (live t) then 0 else Regs.add (observers_for_add (cold t)) f
 
 let unsubscribe t token =
-  if live t then
-    match cold_opt t with Some c -> Regs.remove c.observers token | None -> ()
+  if live t then match cold_of t with Sock_cold c -> Regs.remove c.observers token | _ -> ()
 
-let add_watcher t f =
-  if not (live t) then 0
-  else begin
-    let tok = Regs.add (cold t).watchers f in
-    (arena t).Conn_arena.watch_next.{t.slot} <- tok + 1;
-    tok
-  end
+let add_watcher t f = if not (live t) then 0 else Regs.add (watchers_for_add (cold t)) f
 
 let remove_watcher t token =
-  if live t then
-    match cold_opt t with Some c -> Regs.remove c.watchers token | None -> ()
+  if live t then match cold_of t with Sock_cold c -> Regs.remove c.watchers token | _ -> ()
 
 let waiter_count t =
-  match if live t then cold_opt t else None with
-  | Some c -> Wait_queue.length c.waitq
-  | None -> 0
+  if not (live t) then 0
+  else match cold_of t with Sock_cold c -> Wait_queue.length c.waitq | _ -> 0
 
 let observer_count t =
-  match if live t then cold_opt t else None with
-  | Some c -> Regs.count c.observers
-  | None -> 0
+  if not (live t) then 0
+  else match cold_of t with Sock_cold c -> Regs.count c.observers | _ -> 0
+
+let to_client p ~bytes_len k =
+  match p with
+  | Peer c ->
+      Network.send_to_client c.net ~extra_latency:c.extra_latency ~bytes_len (fun () ->
+          match p with Peer c when c.client_open -> k p | Peer _ | No_peer -> ())
+  | No_peer -> ()
+
+let client_reset p =
+  match p with
+  | Peer c ->
+      c.client_open <- false;
+      c.handlers.on_reset p
+  | No_peer -> ()
+
+let client_fin p = match p with Peer c -> c.handlers.on_server_fin p | No_peer -> ()
 
 (* Post a readiness edge: wake classic-poll sleepers (charging wake
    cost per task) and notify observers (charging the backmap read lock
-   when the driver participates in hinting). Only ever called on a
-   live socket. *)
+   when the driver participates in hinting). The TCP peer listens
+   like the oldest observer: it is charged for and told last, and an
+   edge carrying POLLERR sends it an RST. Only ever called on a live
+   socket. *)
 let post t mask =
-  match cold_opt t with
-  | None -> ()
-  | Some c ->
+  match cold_of t with
+  | Sock_cold c ->
       let costs = t.host.Host.costs in
       let counters = t.host.Host.counters in
       Regs.iter_rev c.watchers (fun f -> f ());
-      let woken =
-        Wait_queue.wake c.waitq ~policy:t.host.Host.wake_policy (fun w ->
-            counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
-            ignore (Host.charge t.host costs.Cost_model.wait_queue_wake);
-            w.wake mask)
-      in
-      ignore woken;
-      if Regs.count c.observers > 0 then begin
+      if not (Wait_queue.is_empty c.waitq) then
+        ignore
+          (Wait_queue.wake c.waitq ~policy:t.host.Host.wake_policy (fun w ->
+               counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
+               ignore (Host.charge t.host costs.Cost_model.wait_queue_wake);
+               w.wake mask));
+      let peer = c.peer in
+      if Regs.count c.observers > 0 || peer != No_peer then begin
         if hints_supported t then
           ignore (Host.charge t.host costs.Cost_model.backmap_read_lock);
-        Regs.iter_rev c.observers (fun f -> f mask)
+        Regs.iter_rev c.observers (fun f -> f mask);
+        if Pollmask.mem Pollmask.pollerr mask then
+          to_client peer ~bytes_len:segment_overhead client_reset
       end
+  | _ -> ()
 
 let deliver t ~bytes_len ~payload =
   if bytes_len < 0 then invalid_arg "Sock_buf.push: negative size";
@@ -343,16 +407,10 @@ let deliver t ~bytes_len ~payload =
         let accepted = Stdlib.min bytes_len (a.Conn_arena.rcv_cap.{slot} - level) in
         a.Conn_arena.rcv_level.{slot} <- level + accepted;
         if String.length payload > 0 then begin
+          (* A request normally arrives in one segment: keep its string
+             as is, and concatenate only when segments pile up unread. *)
           let c = cold t in
-          let buf =
-            match c.payload with
-            | Some b -> b
-            | None ->
-                let b = Buffer.create 64 in
-                c.payload <- Some b;
-                b
-          in
-          Buffer.add_string buf payload
+          c.payload <- (if String.length c.payload = 0 then payload else c.payload ^ payload)
         end;
         if accepted > 0 && was_empty then post t Pollmask.pollin;
         accepted
@@ -414,45 +472,57 @@ let release_send_space t n =
        selective mode's headers) sit in front of mapped ones, so
        keeping [pinned <= level'] unpins exactly the mapped bytes
        that have left the buffer. *)
-    (match cold_opt t with
-    | Some { ring = Some r; _ } ->
+    (match cold_of t with
+    | Sock_cold { ring = Some r; _ } ->
         let pinned = Zc_ring.pinned r in
         if pinned > level' then ignore (Zc_ring.unmap r ~bytes:(pinned - level'))
-    | Some _ | None -> ());
+    | _ -> ());
     match a.Conn_arena.st.{slot} with
     | 2 | 3 -> if was_full then post t Pollmask.pollout
     | _ -> ()
   end
 
-let set_transport t ~on_send ~on_close =
-  if live t then begin
-    let c = cold t in
-    c.on_send <- on_send;
-    c.on_close <- on_close
-  end
+let set_peer t p = if live t then (cold t).peer <- p
 
+let peer t =
+  if not (live t) then No_peer else match cold_of t with Sock_cold c -> c.peer | _ -> No_peer
+
+(* Response bytes toward the client; buffer space is reclaimed when
+   the wire has carried them. *)
 let transport_send t n =
-  match if live t then cold_opt t else None with
-  | Some c -> c.on_send n
-  | None -> ()
+  if live t then
+    match cold_of t with
+    | Sock_cold { peer = Peer c as p; _ } ->
+        Network.send_to_client c.net ~extra_latency:c.extra_latency ~bytes_len:n (fun () ->
+            release_send_space t n;
+            match p with
+            | Peer c when c.client_open -> c.handlers.on_bytes p n
+            | Peer _ | No_peer -> ())
+    | _ -> ()
 
-let read_all t =
-  if not (live t) then (0, "")
+let drain t =
+  if not (live t) then 0
   else begin
     let a = arena t in
     let bytes = a.Conn_arena.rcv_level.{t.slot} in
     a.Conn_arena.rcv_level.{t.slot} <- 0;
     if bytes > 0 then notify_watchers t;
-    let text =
-      match cold_opt t with
-      | Some { payload = Some b; _ } ->
-          let s = Buffer.contents b in
-          Buffer.clear b;
-          s
-      | Some _ | None -> ""
-    in
-    (bytes, text)
+    bytes
   end
+
+let take_payload t =
+  if not (live t) then ""
+  else
+    match cold_of t with
+    | Sock_cold c ->
+        let text = c.payload in
+        c.payload <- "";
+        text
+    | _ -> ""
+
+let read_all t =
+  let bytes = drain t in
+  (bytes, take_payload t)
 
 (* Fill the send buffer by up to [n] bytes on a live, writable socket.
    Filling it to the brim clears POLLOUT, a status change watchers
@@ -505,9 +575,7 @@ let ring_attach t ~slot_bytes =
   end
 
 let ring t =
-  match if live t then cold_opt t else None with
-  | Some c -> c.ring
-  | None -> None
+  if not (live t) then None else match cold_of t with Sock_cold c -> c.ring | _ -> None
 
 (* Like [write_reserve], but the accepted bytes beyond the first
    [copy_bytes] are pinned into the transmit ring; returns the bytes
@@ -515,9 +583,8 @@ let ring t =
    [None] when no ring is attached. *)
 let ring_reserve t n ~copy_bytes =
   if n < 0 || copy_bytes < 0 then invalid_arg "Socket.ring_reserve: negative size";
-  match if live t then cold_opt t else None with
-  | None | Some { ring = None; _ } -> None
-  | Some { ring = Some r; _ } ->
+  match if live t then cold_of t else No_attachment with
+  | Sock_cold { ring = Some r; _ } ->
       let a = arena t in
       let slot = t.slot in
       (match a.Conn_arena.st.{slot} with
@@ -527,23 +594,26 @@ let ring_reserve t n ~copy_bytes =
           let pages = Zc_ring.map r ~bytes:mapped in
           Some (accepted, pages)
       | _ -> Some (0, 0))
-
-let accept_pop t =
-  if live t && (arena t).Conn_arena.st.{t.slot} = st_listening then
-    match cold_opt t with
-    | Some c ->
-        let peer = Queue.take_opt c.accept_q in
-        (match peer with
-        | Some _ when Queue.is_empty c.accept_q -> notify_watchers t
-        | Some _ | None -> ());
-        peer
-    | None -> None
-  else None
+  | _ -> None
 
 let accept_queue_length t =
-  match if live t then cold_opt t else None with
-  | Some c -> Queue.length c.accept_q
-  | None -> 0
+  if not (live t) then 0
+  else match cold_of t with Sock_cold c -> Queue.length c.accept_q | _ -> 0
+
+let accept_take t =
+  if accept_queue_length t = 0 || (arena t).Conn_arena.st.{t.slot} <> st_listening then
+    invalid_arg "Socket.accept_take: empty accept queue";
+  match cold_of t with
+  | Sock_cold c ->
+      let peer = Queue.take c.accept_q in
+      if Queue.is_empty c.accept_q then notify_watchers t;
+      peer
+  | _ -> invalid_arg "Socket.accept_take: empty accept queue"
+
+let accept_pop t =
+  if live t && (arena t).Conn_arena.st.{t.slot} = st_listening && accept_queue_length t > 0
+  then Some (accept_take t)
+  else None
 
 (* Kernel-memory accounting (modeled): accept() reserves the fixed
    socket struct plus both buffer capacities; close/discard release
@@ -615,18 +685,18 @@ let attach t ~key v =
   end
 
 let attachment t ~key =
-  match if live t then cold_opt t else None with
-  | Some c ->
-      if c.a0_key = key then Some c.a0
-      else if c.a1_key = key then Some c.a1
-      else if c.a2_key = key then Some c.a2
-      else None
-  | None -> None
+  match if live t then cold_of t else No_attachment with
+  | Sock_cold c ->
+      if c.a0_key = key then c.a0
+      else if c.a1_key = key then c.a1
+      else if c.a2_key = key then c.a2
+      else No_attachment
+  | _ -> No_attachment
 
 let detach t ~key =
   if live t then
-    match cold_opt t with
-    | Some c ->
+    match cold_of t with
+    | Sock_cold c ->
         if c.a0_key = key then begin
           c.a0_key <- 0;
           c.a0 <- No_attachment
@@ -639,21 +709,18 @@ let detach t ~key =
           c.a2_key <- 0;
           c.a2 <- No_attachment
         end
-    | None -> ()
-
-let set_tcp_link t cid = if live t then (arena t).Conn_arena.tcp_id.{t.slot} <- cid
-let tcp_link t = if live t then (arena t).Conn_arena.tcp_id.{t.slot} else 0
+    | _ -> ()
 
 (* Reclaim a connection that never reached an application fd (refused
    handshake, accept-path drop) with zero observable behaviour: no
    edge is posted, no hook runs, no cost is charged — only the memory
    reservation and the slot come back. *)
 let release_ring t =
-  match cold_opt t with
-  | Some ({ ring = Some r; _ } as c) ->
+  match cold_of t with
+  | Sock_cold ({ ring = Some r; _ } as c) ->
       Zc_ring.destroy r;
       c.ring <- None
-  | Some _ | None -> ()
+  | _ -> ()
 
 let discard t =
   if live t then begin
@@ -671,20 +738,21 @@ let close t =
         a.Conn_arena.st.{t.slot} <- st_closed;
         a.Conn_arena.rcv_level.{t.slot} <- 0;
         a.Conn_arena.snd_level.{t.slot} <- 0;
-        let on_close =
-          match cold_opt t with
-          | Some c ->
-              (match c.payload with Some b -> Buffer.clear b | None -> ());
-              Queue.clear c.accept_q;
-              c.on_close
-          | None -> fun () -> ()
+        let peer =
+          match cold_of t with
+          | Sock_cold c ->
+              c.payload <- "";
+              if not (Queue.is_empty c.accept_q) then Queue.clear c.accept_q;
+              c.peer
+          | _ -> No_peer
         in
         post t Pollmask.pollnval;
-        on_close ();
+        (* The FIN toward the client. *)
+        to_client peer ~bytes_len:segment_overhead client_fin;
         (* Release everything the connection pinned: the transmit
-           ring, the memory reservation, the cold record (closures,
-           payload buffer) and the slot itself. Outstanding handles go
-           stale and read as [Closed]. *)
+           ring, the memory reservation, the cold record (registrations,
+           payload) and the slot itself. Outstanding handles go stale
+           and read as [Closed]. *)
         release_ring t;
         release_kernel_memory t;
         Conn_arena.free a t.slot

@@ -21,6 +21,9 @@
     [==] comparisons keep working. *)
 
 
+open Sio_sim
+open Sio_net
+
 type state =
   | Listening
   | Established
@@ -33,6 +36,51 @@ type t
 type waiter = { wake : Pollmask.t -> unit }
 (** A sleeping task registered on the socket's wait queue. Identity is
     physical: the same record must be passed to unregister. *)
+
+(** {1 TCP peer}
+
+    The client end of a TCP connection ({!Tcp.t} is this type). It is
+    defined here so that a server socket reaches its peer through one
+    pointer: the socket's output path (response bytes, the FIN on
+    {!close}, the RST on a POLLERR edge) puts segments on the wire
+    toward it without any per-connection closure. {!Tcp} creates the
+    peer and drives the client-to-server direction. *)
+
+type user = ..
+(** Per-connection client state, hung off the peer by the load
+    generator (see {!Tcp.set_user}). *)
+
+type user += No_user
+
+type peer =
+  | No_peer
+  | Peer of {
+      net : Network.t;
+      listener : t;
+      extra_latency : Time.t;  (** added to every segment, each way *)
+      handlers : handlers;
+      conn_id : int;
+      mutable server_sock : t;
+          (** the accepted socket; [listener] until the SYN is queued *)
+      mutable client_open : bool;
+      mutable user : user;
+    }
+
+and handlers = {
+  on_established : peer -> unit;
+  on_refused : peer -> unit;
+  on_bytes : peer -> int -> unit;
+  on_server_fin : peer -> unit;
+  on_reset : peer -> unit;
+}
+
+val segment_overhead : int
+(** TCP/IP header bytes of a segment without payload (SYN, FIN, RST). *)
+
+val to_client : peer -> bytes_len:int -> (peer -> unit) -> unit
+(** [to_client p ~bytes_len k] puts a segment on the wire from the
+    server host toward [p]'s client end; [k p] runs when it lands if
+    the client is still open. A no-op for [No_peer]. *)
 
 val create_listening : host:Host.t -> backlog:int -> t
 val create_established : host:Host.t -> t
@@ -90,6 +138,7 @@ val remove_watcher : t -> int -> unit
 
 val waiter_count : t -> int
 val observer_count : t -> int
+(** Registered observers; the TCP peer's RST path is not one. *)
 
 (** {1 Network-facing operations} (called by the TCP layer) *)
 
@@ -107,28 +156,41 @@ val peer_closed : t -> unit
 (** FIN from the peer: posts POLLIN|POLLHUP. *)
 
 val reset : t -> unit
-(** RST: posts POLLERR. *)
+(** RST: posts POLLERR (which sends the TCP peer, if any, an RST). *)
 
 val release_send_space : t -> int -> unit
 (** The wire consumed [n] bytes of the send buffer; posts POLLOUT when
     space reappears from a full buffer. *)
 
-(** {1 Transport hooks} (installed by the TCP layer) *)
+(** {1 Transport} (the TCP layer's hooks) *)
 
-val set_transport : t -> on_send:(int -> unit) -> on_close:(unit -> unit) -> unit
-(** [on_send n] is invoked when the application commits [n] bytes to
-    the send buffer (the TCP layer then puts them on the wire and
-    later calls {!release_send_space}); [on_close] when the
-    application closes the socket (the TCP layer emits the FIN). *)
+val set_peer : t -> peer -> unit
+(** Connects an established socket to the client end of its TCP
+    connection. From then on {!transport_send} puts response bytes on
+    the wire toward it, {!close} sends it a FIN and a POLLERR edge an
+    RST. *)
+
+val peer : t -> peer
+(** [No_peer] when none was set or the handle is stale. *)
 
 val transport_send : t -> int -> unit
-(** Invokes the [on_send] hook; used by the syscall layer. *)
+(** The application committed [n] bytes to the send buffer: they go on
+    the wire toward the peer, and {!release_send_space} runs when the
+    wire has carried them. A no-op without a peer. *)
 
 (** {1 Application-facing operations} (called by the syscall layer) *)
 
+val drain : t -> int
+(** Empties the receive buffer and returns the bytes it held. *)
+
+val take_payload : t -> string
+(** The received payload text not yet taken (["" when none]); the
+    socket forgets it. A request that arrived in one segment comes
+    back as the very string the client sent, without a copy. *)
+
 val read_all : t -> int * string
-(** Drains the receive buffer: (bytes, accumulated payload). On a
-    [Peer_closed] socket with an empty buffer this is [(0, "")] — EOF. *)
+(** {!drain} then {!take_payload}. On a [Peer_closed] socket with an
+    empty buffer this is [(0, "")] — EOF. *)
 
 val write_reserve : t -> int -> int
 (** Claims send-buffer space; returns bytes accepted (0 when full or
@@ -157,11 +219,15 @@ val ring_reserve : t -> int -> copy_bytes:int -> (int * int) option
 val accept_pop : t -> t option
 val accept_queue_length : t -> int
 
+val accept_take : t -> t
+(** Like {!accept_pop} without the option. Raises [Invalid_argument]
+    when {!accept_queue_length} is 0 or [t] is not listening. *)
+
 val close : t -> unit
 (** Marks [Closed], empties buffers, posts POLLNVAL so sleepers
     re-evaluate, then releases everything the connection pinned: the
-    kernel-memory reservation, observer/watcher closures, the payload
-    buffer, and the arena slot itself. *)
+    kernel-memory reservation, observer/watcher closures, the payload,
+    and the arena slot itself. The TCP peer, if any, gets a FIN. *)
 
 val discard : t -> unit
 (** Reclaims a connection that never reached an application fd (a
@@ -198,16 +264,11 @@ val attach : t -> key:int -> Conn_arena.cold -> unit
     binding). Raises [Invalid_argument] if a fourth distinct key is
     attached to one socket. *)
 
-val attachment : t -> key:int -> Conn_arena.cold option
+type Conn_arena.cold += No_attachment
+
+val attachment : t -> key:int -> Conn_arena.cold
+(** This key's attachment, or [No_attachment]. Allocation-free. *)
 
 val detach : t -> key:int -> unit
-
-(** {1 TCP linkage} *)
-
-val set_tcp_link : t -> int -> unit
-(** Records the owning {!Tcp} connection id in the arena. *)
-
-val tcp_link : t -> int
-(** The owning TCP connection id, or 0. *)
 
 val pp_state : Format.formatter -> state -> unit

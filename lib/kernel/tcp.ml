@@ -1,23 +1,17 @@
 open Sio_sim
 open Sio_net
 
-type t = {
-  net : Network.t;
-  listener : Socket.t;
-  extra_latency : Time.t;
-  handlers : client_handlers;
-  id : int;
-  mutable server_sock : Socket.t option;
-  mutable client_open : bool;
-}
+type t = Socket.peer
 
-and client_handlers = {
+type client_handlers = Socket.handlers = {
   on_established : t -> unit;
   on_refused : t -> unit;
   on_bytes : t -> int -> unit;
   on_server_fin : t -> unit;
   on_reset : t -> unit;
 }
+
+type user = Socket.user = ..
 
 let null_handlers =
   {
@@ -28,7 +22,7 @@ let null_handlers =
     on_reset = (fun _ -> ());
   }
 
-let segment_overhead = 40 (* TCP/IP header bytes: SYN, FIN, RST *)
+let segment_overhead = Socket.segment_overhead
 
 (* Atomic for the same reason as [Socket.next_id]: parallel sweeps
    must not mint duplicate connection ids across domains. *)
@@ -39,63 +33,30 @@ let charge_softirq host =
   counters.Host.softirqs <- counters.Host.softirqs + 1;
   ignore (Host.charge host host.Host.costs.Cost_model.softirq_per_packet)
 
-let connect ~net ~listener ?(extra_latency = Time.zero) ~handlers () =
-  let conn =
-    {
-      net;
-      listener;
-      extra_latency;
-      handlers;
-      id = 1 + Atomic.fetch_and_add next_id 1;
-      server_sock = None;
-      client_open = true;
-    }
-  in
-  let host = Socket.host listener in
-  (* SYN travels up; the server's softirq handler either queues the
-     new connection or answers with RST. *)
-  Network.send_to_server net ~extra_latency ~bytes_len:segment_overhead (fun () ->
+let refuse (t : t) =
+  match t with
+  | Socket.Peer c -> Socket.to_client t ~bytes_len:segment_overhead c.handlers.on_refused
+  | Socket.No_peer -> ()
+
+(* The SYN reaches the server: its softirq handler either queues the
+   new connection or answers with RST. *)
+let syn_arrived (t : t) =
+  match t with
+  | Socket.No_peer -> ()
+  | Socket.Peer c -> (
+      let listener = c.listener in
+      let host = Socket.host listener in
       charge_softirq host;
-      let refuse () =
-        Network.send_to_client net ~extra_latency ~bytes_len:segment_overhead
-          (fun () -> if conn.client_open then handlers.on_refused conn)
-      in
       match Socket.state listener with
       | Socket.Listening ->
           let sock = Socket.create_established ~host in
-          Socket.set_tcp_link sock conn.id;
-          Socket.set_transport sock
-            ~on_send:(fun n ->
-              (* Response bytes toward the client; buffer space is
-                 reclaimed when the wire has carried them. *)
-              Network.send_to_client net ~extra_latency ~bytes_len:n (fun () ->
-                  Socket.release_send_space sock n;
-                  if conn.client_open then handlers.on_bytes conn n))
-            ~on_close:(fun () ->
-              Network.send_to_client net ~extra_latency ~bytes_len:segment_overhead
-                (fun () -> if conn.client_open then handlers.on_server_fin conn));
-          (* A server-side reset (e.g. accept with a full descriptor
-             table) must surface as an RST at the client. *)
-          ignore
-            (Socket.subscribe sock (fun mask ->
-                 if Pollmask.mem Pollmask.pollerr mask then
-                   Network.send_to_client net ~extra_latency
-                     ~bytes_len:segment_overhead (fun () ->
-                       if conn.client_open then begin
-                         conn.client_open <- false;
-                         handlers.on_reset conn
-                       end))
-            [@lint.ignore
-              "socket-lifetime subscription: Socket.close reclaims every observer \
-               registration with the connection's arena slot, so no per-subscription \
-               unsubscribe exists"]);
+          Socket.set_peer sock t;
           if Socket.enqueue_accept listener sock then begin
-            conn.server_sock <- Some sock;
-            Network.send_to_client net ~extra_latency ~bytes_len:segment_overhead
-              (fun () -> if conn.client_open then handlers.on_established conn)
+            c.server_sock <- sock;
+            Socket.to_client t ~bytes_len:segment_overhead c.handlers.on_established
           end
           else begin
-            refuse ();
+            refuse t;
             (* The backlog refused it: nothing holds this socket, so
                its arena slot would leak across a reopen storm. *)
             Socket.discard sock
@@ -103,42 +64,76 @@ let connect ~net ~listener ?(extra_latency = Time.zero) ~handlers () =
       | Socket.Established | Socket.Peer_closed | Socket.Reset | Socket.Closed ->
           let counters = host.Host.counters in
           counters.Host.connections_refused <- counters.Host.connections_refused + 1;
-          refuse ());
-  conn
+          refuse t)
 
-let id t = t.id
-let server_socket t = t.server_sock
+let connect ~net ~listener ?(extra_latency = Time.zero) ~handlers () =
+  let t =
+    Socket.Peer
+      {
+        net;
+        listener;
+        extra_latency;
+        handlers;
+        conn_id = 1 + Atomic.fetch_and_add next_id 1;
+        server_sock = listener;
+        client_open = true;
+        user = Socket.No_user;
+      }
+  in
+  Network.send_to_server net ~extra_latency ~bytes_len:segment_overhead (fun () ->
+      syn_arrived t);
+  t
 
-let client_send t ~bytes_len ~payload =
+let id (t : t) = match t with Socket.Peer c -> c.conn_id | Socket.No_peer -> 0
+
+let server_socket (t : t) =
+  match t with
+  | Socket.Peer c when c.server_sock != c.listener -> Some c.server_sock
+  | Socket.Peer _ | Socket.No_peer -> None
+
+let user (t : t) = match t with Socket.Peer c -> c.user | Socket.No_peer -> Socket.No_user
+let set_user (t : t) u = match t with Socket.Peer c -> c.user <- u | Socket.No_peer -> ()
+
+(* A segment from the client toward the server socket, dropped when
+   the SYN was never accepted. *)
+let to_server (t : t) ~bytes_len k =
+  match t with
+  | Socket.Peer c ->
+      Network.send_to_server c.net ~extra_latency:c.extra_latency ~bytes_len (fun () ->
+          match t with
+          | Socket.Peer c when c.server_sock != c.listener -> k c.server_sock
+          | Socket.Peer _ | Socket.No_peer -> ())
+  | Socket.No_peer -> ()
+
+let client_send (t : t) ~bytes_len ~payload =
   if bytes_len < 0 then invalid_arg "Tcp.client_send: negative length";
-  Network.send_to_server t.net ~extra_latency:t.extra_latency
-    ~bytes_len:(bytes_len + segment_overhead) (fun () ->
-      match t.server_sock with
-      | Some sock -> ignore (Socket.deliver sock ~bytes_len ~payload)
-      | None -> ())
+  match t with
+  | Socket.Peer c ->
+      Network.send_to_server c.net ~extra_latency:c.extra_latency
+        ~bytes_len:(bytes_len + segment_overhead) (fun () ->
+          match t with
+          | Socket.Peer c when c.server_sock != c.listener ->
+              ignore (Socket.deliver c.server_sock ~bytes_len ~payload)
+          | Socket.Peer _ | Socket.No_peer -> ())
+  | Socket.No_peer -> ()
 
-let client_close t =
-  if t.client_open then begin
-    t.client_open <- false;
-    Network.send_to_server t.net ~extra_latency:t.extra_latency
-      ~bytes_len:segment_overhead (fun () ->
-        match t.server_sock with
-        | Some sock ->
-            charge_softirq (Socket.host sock);
-            Socket.peer_closed sock
-        | None -> ())
-  end
+let client_close (t : t) =
+  match t with
+  | Socket.Peer c when c.client_open ->
+      c.client_open <- false;
+      to_server t ~bytes_len:segment_overhead (fun sock ->
+          charge_softirq (Socket.host sock);
+          Socket.peer_closed sock)
+  | Socket.Peer _ | Socket.No_peer -> ()
 
-let client_abort t =
-  if t.client_open then begin
-    t.client_open <- false;
-    Network.send_to_server t.net ~extra_latency:t.extra_latency
-      ~bytes_len:segment_overhead (fun () ->
-        match t.server_sock with
-        | Some sock ->
-            charge_softirq (Socket.host sock);
-            Socket.reset sock
-        | None -> ())
-  end
+let client_abort (t : t) =
+  match t with
+  | Socket.Peer c when c.client_open ->
+      c.client_open <- false;
+      to_server t ~bytes_len:segment_overhead (fun sock ->
+          charge_softirq (Socket.host sock);
+          Socket.reset sock)
+  | Socket.Peer _ | Socket.No_peer -> ()
 
-let is_client_open t = t.client_open
+let is_client_open (t : t) =
+  match t with Socket.Peer c -> c.client_open | Socket.No_peer -> false

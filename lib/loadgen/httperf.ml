@@ -2,14 +2,19 @@ open Sio_sim
 open Sio_net
 open Sio_kernel
 
-type conn_state = {
+(* Per-connection client state, hung off the connection's Tcp peer:
+   the client's one handlers record finds it there, and the timeout
+   event captures nothing else. *)
+type req = {
+  client : t;
   started : Time.t;
   mutable received : int;
   mutable finished : bool;
-  mutable timer : Event_queue.handle option;
+  mutable timer : Event_queue.handle;
+  mutable conn : Tcp.t;
 }
 
-type t = {
+and t = {
   engine : Engine.t;
   net : Network.t;
   listener : Socket.t;
@@ -30,23 +35,81 @@ type t = {
   ports : Port_pool.t;
 }
 
+type Tcp.user += Request of req
+
 let now t = Engine.now t.engine
 
 (* Every connection ends exactly once; afterwards the descriptor is
    returned immediately and the port only after TIME_WAIT — except for
    RST-terminated connections, which skip the quarantine. *)
-let finish ?(rst = false) t st =
-  if not st.finished then begin
-    st.finished <- true;
-    (match st.timer with
-    | Some h ->
-        Engine.cancel t.engine h;
-        st.timer <- None
-    | None -> ());
+let finish ?(rst = false) r =
+  if not r.finished then begin
+    let t = r.client in
+    r.finished <- true;
+    Engine.cancel t.engine r.timer;
     t.fds <- t.fds - 1;
     if rst then Port_pool.release_immediately t.ports else Port_pool.release t.ports;
     t.terminal <- t.terminal + 1;
     if t.terminal = t.total then t.on_done ()
+  end
+
+(* The handlers: one record shared by every client and connection.
+   Each runs only for a connection that has not finished yet. *)
+let on_established c =
+  match Tcp.user c with
+  | Request r when not r.finished ->
+      let t = r.client in
+      Tcp.client_send c ~bytes_len:(String.length t.request_text) ~payload:t.request_text
+  | _ -> ()
+
+let on_refused c =
+  match Tcp.user c with
+  | Request r when not r.finished ->
+      let errors = r.client.errors in
+      errors.Metrics.refused <- errors.Metrics.refused + 1;
+      finish ~rst:true r
+  | _ -> ()
+
+let on_bytes c n =
+  match Tcp.user c with
+  | Request r when not r.finished ->
+      let t = r.client in
+      r.received <- r.received + n;
+      if r.received >= t.expected_bytes then begin
+        t.completed <- t.completed + 1;
+        Sampler.record t.sampler ~now:(now t);
+        Histogram.add t.latency (Time.sub (now t) r.started);
+        Tcp.client_close c;
+        finish r
+      end
+  | _ -> ()
+
+let on_server_fin c =
+  match Tcp.user c with
+  | Request r when not r.finished ->
+      (* FIN before the full response: the server dropped us. *)
+      let errors = r.client.errors in
+      errors.Metrics.truncated <- errors.Metrics.truncated + 1;
+      Tcp.client_close c;
+      finish r
+  | _ -> ()
+
+let on_reset c =
+  match Tcp.user c with
+  | Request r when not r.finished ->
+      let errors = r.client.errors in
+      errors.Metrics.resets <- errors.Metrics.resets + 1;
+      finish ~rst:true r
+  | _ -> ()
+
+let handlers = { Tcp.on_established; on_refused; on_bytes; on_server_fin; on_reset }
+
+let timed_out r =
+  if not r.finished then begin
+    let errors = r.client.errors in
+    errors.Metrics.timeouts <- errors.Metrics.timeouts + 1;
+    Tcp.client_abort r.conn;
+    finish ~rst:true r
   end
 
 let launch t =
@@ -63,64 +126,21 @@ let launch t =
   end
   else begin
     t.fds <- t.fds + 1;
-    let st = { started = now t; received = 0; finished = false; timer = None } in
-    let extra_latency = Sio_net.Latency_profile.draw t.w.Workload.active_latency t.rng in
-    let conn_ref = ref None in
-    let abort_and_finish () =
-      (match !conn_ref with Some c -> Tcp.client_abort c | None -> ());
-      finish ~rst:true t st
-    in
-    let handlers =
+    let r =
       {
-        Tcp.on_established =
-          (fun c ->
-            if not st.finished then
-              Tcp.client_send c ~bytes_len:(String.length t.request_text)
-                ~payload:t.request_text);
-        on_refused =
-          (fun _ ->
-            if not st.finished then begin
-              t.errors.Metrics.refused <- t.errors.Metrics.refused + 1;
-              finish ~rst:true t st
-            end);
-        on_bytes =
-          (fun c n ->
-            if not st.finished then begin
-              st.received <- st.received + n;
-              if st.received >= t.expected_bytes then begin
-                t.completed <- t.completed + 1;
-                Sampler.record t.sampler ~now:(now t);
-                Histogram.add t.latency (Time.sub (now t) st.started);
-                Tcp.client_close c;
-                finish t st
-              end
-            end);
-        on_server_fin =
-          (fun c ->
-            if not st.finished then begin
-              (* FIN before the full response: the server dropped us. *)
-              t.errors.Metrics.truncated <- t.errors.Metrics.truncated + 1;
-              Tcp.client_close c;
-              finish t st
-            end);
-        on_reset =
-          (fun _ ->
-            if not st.finished then begin
-              t.errors.Metrics.resets <- t.errors.Metrics.resets + 1;
-              finish ~rst:true t st
-            end);
+        client = t;
+        started = now t;
+        received = 0;
+        finished = false;
+        timer = Event_queue.none;
+        conn = Socket.No_peer;
       }
     in
+    let extra_latency = Sio_net.Latency_profile.draw t.w.Workload.active_latency t.rng in
     let conn = Tcp.connect ~net:t.net ~listener:t.listener ~extra_latency ~handlers () in
-    conn_ref := Some conn;
-    st.timer <-
-      Some
-        (Engine.after t.engine t.w.Workload.client_timeout (fun () ->
-             st.timer <- None;
-             if not st.finished then begin
-               t.errors.Metrics.timeouts <- t.errors.Metrics.timeouts + 1;
-               abort_and_finish ()
-             end))
+    Tcp.set_user conn (Request r);
+    r.conn <- conn;
+    r.timer <- Engine.after t.engine t.w.Workload.client_timeout (fun () -> timed_out r)
   end
 
 let start ~engine ~net ~listener ~workload ?arrivals ?rng ?(on_done = fun () -> ())

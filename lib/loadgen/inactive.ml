@@ -13,6 +13,11 @@ type t = {
   mutable reopens : int;
   mutable stopped : bool;
   mutable conns : Tcp.t list;
+  (* Built once per client and shared by every open: one record for
+     first opens, one for reopens (they differ only in what an
+     established connection counts). *)
+  mutable first_handlers : Tcp.client_handlers;
+  mutable reopen_handlers : Tcp.client_handlers;
 }
 
 (* A request prefix with no terminating CRLFCRLF: the server must hold
@@ -24,29 +29,7 @@ let make_partial w =
 let rec open_one t ~first =
   if not t.stopped then begin
     let extra_latency = Latency_profile.draw t.w.Workload.inactive_latency t.rng in
-    let handlers =
-      {
-        Tcp.on_established =
-          (fun c ->
-            if not t.stopped then begin
-              t.established <- t.established + 1;
-              if not first then t.reopens <- t.reopens + 1;
-              Tcp.client_send c ~bytes_len:(String.length t.partial_request)
-                ~payload:t.partial_request
-            end);
-        on_refused = (fun _ -> reopen t);
-        on_bytes = (fun _ _ -> ());
-        on_server_fin =
-          (fun c ->
-            t.established <- t.established - 1;
-            Tcp.client_close c;
-            reopen t);
-        on_reset =
-          (fun _ ->
-            t.established <- t.established - 1;
-            reopen t);
-      }
-    in
+    let handlers = if first then t.first_handlers else t.reopen_handlers in
     let conn = Tcp.connect ~net:t.net ~listener:t.listener ~extra_latency ~handlers () in
     t.conns <- conn :: t.conns
   end
@@ -56,6 +39,29 @@ and reopen t =
     ignore
       (Engine.after t.engine t.w.Workload.inactive_reopen_delay (fun () ->
            open_one t ~first:false))
+
+let make_handlers t ~first =
+  {
+    Tcp.on_established =
+      (fun c ->
+        if not t.stopped then begin
+          t.established <- t.established + 1;
+          if not first then t.reopens <- t.reopens + 1;
+          Tcp.client_send c ~bytes_len:(String.length t.partial_request)
+            ~payload:t.partial_request
+        end);
+    on_refused = (fun _ -> reopen t);
+    on_bytes = (fun _ _ -> ());
+    on_server_fin =
+      (fun c ->
+        t.established <- t.established - 1;
+        Tcp.client_close c;
+        reopen t);
+    on_reset =
+      (fun _ ->
+        t.established <- t.established - 1;
+        reopen t);
+  }
 
 let start ~engine ~net ~listener ~workload ~rng () =
   let t =
@@ -70,8 +76,12 @@ let start ~engine ~net ~listener ~workload ~rng () =
       reopens = 0;
       stopped = false;
       conns = [];
+      first_handlers = Tcp.null_handlers;
+      reopen_handlers = Tcp.null_handlers;
     }
   in
+  t.first_handlers <- make_handlers t ~first:true;
+  t.reopen_handlers <- make_handlers t ~first:false;
   let n = workload.Workload.inactive_connections in
   let window = workload.Workload.inactive_open_window in
   for i = 0 to n - 1 do

@@ -9,10 +9,10 @@ let create ~engine ?(bandwidth_bits_per_sec = 100_000_000) ?(latency = Time.us 1
 let client_to_server t = t.up
 let server_to_client t = t.down
 
-let send_to_server t ?extra_latency ~bytes_len k =
-  Link.transmit t.up ?extra_latency ~bytes_len k
+let send_to_server t ~extra_latency ~bytes_len k =
+  Link.transmit t.up ~extra_latency ~bytes_len k
 
-let send_to_client t ?extra_latency ~bytes_len k =
-  Link.transmit t.down ?extra_latency ~bytes_len k
+let send_to_client t ~extra_latency ~bytes_len k =
+  Link.transmit t.down ~extra_latency ~bytes_len k
 
 let rtt t = Time.mul t.latency 2

@@ -1,13 +1,21 @@
-type entry = { time : Time.t; seq : int; slot : int; gen : int; action : unit -> unit }
+type entry = {
+  time : Time.t;
+  seq : int;
+  slot : int;
+  gen : int;
+  mutable action : unit -> unit;
+}
 
-type handle = int
+(* A handle is the heap entry itself, which records the slot index and
+   the slot's generation stamp at scheduling time. Slots are reused
+   through a free list; every free bumps the generation, so handles to
+   fired or cancelled events go stale in O(1) without any hashing or
+   allocation beyond the entry. Cancelling also drops the entry's
+   action, so a cancelled event stops retaining what its closure
+   captured while the entry waits in the heap for its time. *)
+type handle = entry
 
-(* A handle packs the slot index and the slot's generation stamp at
-   scheduling time. Slots are reused through a free list; every
-   free bumps the generation, so handles to fired or cancelled events
-   go stale in O(1) without any hashing or per-event allocation. *)
-let gen_bits = 31
-let gen_mask = (1 lsl gen_bits) - 1
+let gen_mask = (1 lsl 31) - 1
 
 (* Per-slot cell: [(gen lsl 2) lor state]; state 0 is free. *)
 let state_pending = 1
@@ -26,7 +34,11 @@ type t = {
 (* The heap's filler for unused slots. Allocated once, so it is an old
    value by the time any heap grows: filling a large array with a young
    value would force a minor collection on every growth. *)
-let filler = { time = 0; seq = 0; slot = 0; gen = 0; action = ignore }
+let filler = { time = 0; seq = 0; slot = 0; gen = -1; action = ignore }
+
+(* Generation -1 never matches a slot cell, so the filler is never
+   pending and cancelling it is a no-op. *)
+let none = filler
 
 let create ?(initial_capacity = 16) () =
   let initial_capacity = Stdlib.max 1 initial_capacity in
@@ -81,23 +93,22 @@ let schedule q ~at action =
   q.cells.(slot) <- (gen lsl 2) lor state_pending;
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
-  Heap.push q.heap { time = at; seq; slot; gen; action };
+  let e = { time = at; seq; slot; gen; action } in
+  Heap.push q.heap e;
   q.live <- q.live + 1;
-  (slot lsl gen_bits) lor gen
-
-(* Lazy cancellation: mark the slot; the entry is dropped when it
-   reaches the top of the heap. *)
-let cancel q h =
-  let slot = h lsr gen_bits and gen = h land gen_mask in
-  if h >= 0 && slot < q.high_water && q.cells.(slot) = (gen lsl 2) lor state_pending
-  then begin
-    q.cells.(slot) <- (gen lsl 2) lor state_cancelled;
-    q.live <- q.live - 1
-  end
+  e
 
 let is_pending q h =
-  let slot = h lsr gen_bits and gen = h land gen_mask in
-  h >= 0 && slot < q.high_water && q.cells.(slot) = (gen lsl 2) lor state_pending
+  h.slot < q.high_water && q.cells.(h.slot) = (h.gen lsl 2) lor state_pending
+
+(* Lazy cancellation: mark the slot and release the action; the entry
+   is dropped when it reaches the top of the heap. *)
+let cancel q h =
+  if is_pending q h then begin
+    q.cells.(h.slot) <- (h.gen lsl 2) lor state_cancelled;
+    h.action <- ignore;
+    q.live <- q.live - 1
+  end
 
 let rec drop_cancelled q =
   if not (Heap.is_empty q.heap) then begin

@@ -4,15 +4,23 @@
     generation-stamped slot in a flat array and FIFO ordering among
     events scheduled for the same instant. Cancellation is lazy: a
     cancelled event stays in the heap until its time comes and is then
-    discarded. Cancel and pending checks are O(1) array reads — no
-    hashing, and no allocation beyond the heap entry itself. *)
+    discarded, but its action is released at once, so it no longer
+    keeps alive what its closure captured. Cancel and pending checks
+    are O(1) array reads — no hashing, and no allocation beyond the
+    heap entry itself. *)
 
 type t
 
 type handle
 (** Identifies a scheduled event so it can be cancelled. A handle goes
     stale the moment its event fires or is cancelled; stale handles
-    are harmless (cancel is a no-op, {!is_pending} answers [false]). *)
+    are harmless (cancel is a no-op, {!is_pending} answers [false]).
+    A handle is the event's heap entry: holding it costs no
+    allocation. *)
+
+val none : handle
+(** A handle that is never pending; cancelling it is a no-op. The
+    placeholder for "no event scheduled", without an option box. *)
 
 val create : ?initial_capacity:int -> unit -> t
 (** [initial_capacity] (default 16) pre-sizes the heap and the slot
@@ -24,8 +32,10 @@ val schedule : t -> at:Time.t -> (unit -> unit) -> handle
     order. Raises [Invalid_argument] if [at] is negative. *)
 
 val cancel : t -> handle -> unit
-(** [cancel q h] prevents the event from firing. Cancelling an event
-    that already fired (or was already cancelled) is a no-op. *)
+(** [cancel q h] prevents the event from firing and drops its action,
+    so nothing the action captured stays reachable through the queue.
+    Cancelling an event that already fired (or was already cancelled)
+    is a no-op. *)
 
 val is_pending : t -> handle -> bool
 (** [is_pending q h] is [true] iff the event is still scheduled: not

@@ -1,13 +1,16 @@
 (* Int-radix direct map: one value slot per possible key plus an
-   occupancy bitmap at 32 keys per word. Iteration skips empty words,
-   then consults the live slot array bit by bit — reading [data]
-   rather than a cached bitmap word is what makes cursors survive
-   mutation mid-sweep (a removed key reads [None], an added key reads
-   [Some _], both fresh). *)
+   occupancy bitmap at 32 keys per word. Values are stored unboxed;
+   unbound slots hold the caller's long-lived [dummy] (so a removed
+   value is not pinned, and no option block is built per [set]).
+   Iteration skips empty words, then re-reads the live bitmap bit by
+   bit — never a cached word — which is what makes cursors survive
+   mutation mid-sweep (a removed key reads absent, an added key
+   present, both fresh). *)
 
 type 'a t = {
   mutable present : int array; (* occupancy bitmap, 32 keys per word *)
-  mutable data : 'a option array; (* slot per key; [None] = absent *)
+  mutable data : 'a array; (* slot per key; [dummy] when unbound *)
+  dummy : 'a;
   mutable count : int;
 }
 
@@ -17,11 +20,12 @@ let bit_of k = k land 31
 
 let words_for capacity = (capacity + bits_per_word - 1) / bits_per_word
 
-let create ?(initial_capacity = 64) () =
+let create ?(initial_capacity = 64) ~dummy () =
   let capacity = Stdlib.max 1 initial_capacity in
   {
     present = Array.make (words_for capacity) 0;
-    data = Array.make capacity None;
+    data = Array.make capacity dummy;
+    dummy;
     count = 0;
   }
 
@@ -33,31 +37,37 @@ let grow t k =
   while !cap <= k do
     cap := 2 * !cap
   done;
-  let data = Array.make !cap None in
+  let data = Array.make !cap t.dummy in
   Array.blit t.data 0 data 0 (Array.length t.data);
   let present = Array.make (words_for !cap) 0 in
   Array.blit t.present 0 present 0 (Array.length t.present);
   t.data <- data;
   t.present <- present
 
-let mem t k = k >= 0 && k < Array.length t.data && t.data.(k) <> None
+(* The bitmap is authoritative: [data] may be shorter than its last
+   word covers. *)
+let bound t k = k < Array.length t.data && t.present.(word_of k) land (1 lsl bit_of k) <> 0
 
-let find t k = if k < 0 || k >= Array.length t.data then None else t.data.(k)
+let mem t k = k >= 0 && bound t k
+
+let get t k = if mem t k then t.data.(k) else t.dummy
+
+let find t k = if mem t k then Some t.data.(k) else None
 
 let set t k v =
   if k < 0 then invalid_arg "Fd_map.set: negative key";
   if k >= Array.length t.data then grow t k;
-  if t.data.(k) = None then begin
+  if not (bound t k) then begin
     t.count <- t.count + 1;
     let w = word_of k in
     t.present.(w) <- t.present.(w) lor (1 lsl bit_of k)
   end;
-  t.data.(k) <- Some v
+  t.data.(k) <- v
 
 let remove t k =
-  if k < 0 || k >= Array.length t.data || t.data.(k) = None then false
+  if not (mem t k) then false
   else begin
-    t.data.(k) <- None;
+    t.data.(k) <- t.dummy;
     let w = word_of k in
     t.present.(w) <- t.present.(w) land lnot (1 lsl bit_of k);
     t.count <- t.count - 1;
@@ -65,7 +75,7 @@ let remove t k =
   end
 
 let clear t =
-  Array.fill t.data 0 (Array.length t.data) None;
+  Array.fill t.data 0 (Array.length t.data) t.dummy;
   Array.fill t.present 0 (Array.length t.present) 0;
   t.count <- 0
 
@@ -82,8 +92,7 @@ let iter t f =
            (capacities under 32), and can grow mid-loop — re-check the
            live length for every slot. *)
         let k = base + b in
-        if k < Array.length t.data then
-          match t.data.(k) with Some v -> f k v | None -> ()
+        if bound t k then f k t.data.(k)
       done
     end;
     incr w

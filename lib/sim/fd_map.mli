@@ -6,7 +6,8 @@
     occupancy bitmap, so [find]/[set]/[remove] are O(1) and iteration
     walks keys in ascending order by skipping empty 32-key words —
     amortized O(1) per live entry at the densities fd allocation
-    produces, with no per-call snapshot, sort, or allocation.
+    produces, with no per-call snapshot, sort, or allocation. Values
+    are stored unboxed, so neither {!set} nor {!get} allocates.
 
     Iteration order is intrinsic (ascending key), never a function of
     insertion or resize history: two maps holding the same bindings
@@ -24,10 +25,12 @@
 
 type 'a t
 
-val create : ?initial_capacity:int -> unit -> 'a t
-(** [create ()] is an empty map. [initial_capacity] (default 64)
-    pre-sizes the slot array for the largest key expected; the map
-    grows transparently past it. *)
+val create : ?initial_capacity:int -> dummy:'a -> unit -> 'a t
+(** [create ~dummy ()] is an empty map. [dummy] fills the unbound
+    slots and is what {!get} answers for them; pass a long-lived value
+    (a toplevel constant), as for {!Heap.create}. [initial_capacity]
+    (default 64) pre-sizes the slot array for the largest key
+    expected; the map grows transparently past it. *)
 
 val length : 'a t -> int
 (** Number of bindings, O(1). *)
@@ -37,8 +40,13 @@ val is_empty : 'a t -> bool
 val mem : 'a t -> int -> bool
 (** O(1). [mem m k] is [false] for negative [k]. *)
 
+val get : 'a t -> int -> 'a
+(** O(1) and allocation-free: the bound value, or the map's [dummy]
+    for absent or negative keys. *)
+
 val find : 'a t -> int -> 'a option
-(** O(1). [None] for absent or negative keys. *)
+(** O(1). [None] for absent or negative keys. Builds the option: hot
+    paths use {!mem} and {!get}. *)
 
 val set : 'a t -> int -> 'a -> unit
 (** [set m k v] binds [k] to [v], replacing any previous binding.

@@ -43,6 +43,18 @@ let mk_rig ?(costs = Cost_model.zero) ?(fd_limit = 1024) ?(backlog = 128) () =
   in
   { engine; host; net; proc; listen_fd; listener }
 
+(* accept() with the new connection's socket alongside its fd. *)
+let accept proc listen_fd =
+  match Kernel.accept proc listen_fd with
+  | Ok fd -> (
+      match Process.lookup_socket proc fd with
+      | Some sock -> Ok (fd, sock)
+      | None -> Alcotest.fail "accepted fd has no socket")
+  | Error e -> Error e
+
+(* read() into a fresh buffer. *)
+let read proc fd = Kernel.read proc fd ~into:(Kernel.read_buf ())
+
 let ok = function
   | Ok v -> v
   | Error _ -> Alcotest.fail "expected Ok"

@@ -37,7 +37,7 @@ let connect_n ~net ~listener ~engine n =
 let per_conn ?costs () =
   let engine, _, net, proc, listen_fd, listener = mk_rig ?costs () in
   connect_n ~net ~listener ~engine 1;
-  match Kernel.accept proc listen_fd with
+  match Helpers.accept proc listen_fd with
   | Ok (_, sock) -> Socket.kernel_memory_bytes sock
   | Error _ -> Alcotest.fail "probe accept failed"
 
@@ -55,7 +55,7 @@ let prop_admission_exact =
       in
       connect_n ~net ~listener ~engine (k + 2);
       let rec drain acc =
-        match Kernel.accept proc listen_fd with
+        match Helpers.accept proc listen_fd with
         | Ok (fd, _) -> drain (fd :: acc)
         | Error e -> (List.rev acc, e)
       in
@@ -69,7 +69,7 @@ let prop_admission_exact =
       | [] -> ());
       Engine.run engine;
       let recovered =
-        match Kernel.accept proc listen_fd with
+        match Helpers.accept proc listen_fd with
         | Ok _ -> k > 0
         | Error _ -> false
       in
@@ -85,7 +85,7 @@ let prop_close_reclaims_all =
       connect_n ~net ~listener ~engine n;
       let fds =
         List.init n (fun _ ->
-            match Kernel.accept proc listen_fd with
+            match Helpers.accept proc listen_fd with
             | Ok (fd, _) -> fd
             | Error _ -> Alcotest.fail "accept failed")
       in
@@ -122,7 +122,7 @@ let prop_stale_handle_inert =
 let test_stale_socket_handle_inert () =
   let engine, _host, net, proc, listen_fd, listener = mk_rig () in
   connect_n ~net ~listener ~engine 2;
-  let fd1, sock1 = Helpers.ok (Kernel.accept proc listen_fd) in
+  let fd1, sock1 = Helpers.ok (Helpers.accept proc listen_fd) in
   ignore (Helpers.ok (Kernel.close proc fd1));
   Alcotest.(check bool) "closed handle reads Closed" true
     (Socket.state sock1 = Socket.Closed);
@@ -132,7 +132,7 @@ let test_stale_socket_handle_inert () =
     (Socket.reserve_kernel_memory sock1);
   (* The freed slot is recycled by the next accept; the old handle
      must not alias the new connection. *)
-  let _, sock2 = Helpers.ok (Kernel.accept proc listen_fd) in
+  let _, sock2 = Helpers.ok (Helpers.accept proc listen_fd) in
   Alcotest.(check bool) "new conn established" true
     (Socket.state sock2 = Socket.Established);
   Socket.reset sock1;

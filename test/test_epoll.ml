@@ -121,6 +121,30 @@ let test_blocks_until_event () =
   Engine.run env.engine;
   Alcotest.(check (option (pair int int))) "woken" (Some (Time.ms 9, 1)) !at
 
+(* Two calls asleep on one instance at once each keep their own
+   timeout and continuation; a later call reuses the freed sleeper and
+   is woken by an event, and no finished call's timer fires again. *)
+let test_concurrent_and_reused_sleepers () =
+  let env = mk () in
+  let s = add env 1 in
+  ignore (Epoll.ctl_add env.ep ~fd:1 ~events:Pollmask.pollin ());
+  let log = ref [] in
+  let record name rs =
+    log := (name, Engine.now env.engine, Ready_buffer.length rs) :: !log
+  in
+  Epoll.wait env.ep ~max_events:8 ~timeout:(Some (Time.ms 5)) ~k:(record "a");
+  Epoll.wait env.ep ~max_events:8 ~timeout:(Some (Time.ms 10)) ~k:(record "b");
+  Engine.run ~until:(Time.ms 15) env.engine;
+  Epoll.wait env.ep ~max_events:8 ~timeout:(Some (Time.ms 50)) ~k:(record "c");
+  ignore
+    (Engine.at env.engine (Time.ms 20) (fun () ->
+         ignore (Socket.deliver s ~bytes_len:1 ~payload:"")));
+  Engine.run env.engine;
+  Alcotest.(check (list (triple string int int)))
+    "each call returns once, at its own time"
+    [ ("a", Time.ms 5, 0); ("b", Time.ms 10, 0); ("c", Time.ms 20, 1) ]
+    (List.rev !log)
+
 let test_wait_cost_independent_of_interest_size () =
   (* The whole point of the ready list: 1000 idle interests cost the
      same as 10 at wait time. *)
@@ -202,6 +226,8 @@ let suite =
     Alcotest.test_case "edge-triggered fires once" `Quick test_edge_triggered_fires_once;
     Alcotest.test_case "stale ready entry dropped" `Quick test_stale_ready_entry_dropped;
     Alcotest.test_case "blocks until event" `Quick test_blocks_until_event;
+    Alcotest.test_case "concurrent and reused sleepers" `Quick
+      test_concurrent_and_reused_sleepers;
     Alcotest.test_case "wait cost O(ready) not O(interests)" `Quick
       test_wait_cost_independent_of_interest_size;
     Alcotest.test_case "closed fd reports NVAL" `Quick test_closed_fd_reports_nval_once;

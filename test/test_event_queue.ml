@@ -114,6 +114,70 @@ let test_stale_handle_cannot_touch_reused_slot () =
   | None -> Alcotest.fail "h2 must still fire");
   Alcotest.(check bool) "h2 fired" true !fired
 
+(* Cancelling releases the action: a value captured only by a cancelled
+   event's closure is collectable before the event's time comes. The
+   value and closure are built in a non-inlined helper so no stack slot
+   of the test keeps them alive. *)
+let[@inline never] schedule_capturing q weak =
+  let captured = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some captured);
+  Event_queue.schedule q ~at:(Time.s 10) (fun () -> ignore (Bytes.length captured))
+
+let test_cancel_releases_capture () =
+  let q = Event_queue.create () in
+  let weak = Weak.create 1 in
+  let h = schedule_capturing q weak in
+  Gc.full_major ();
+  Alcotest.(check bool) "held while pending" true (Weak.check weak 0);
+  Event_queue.cancel q h;
+  Gc.full_major ();
+  Alcotest.(check bool) "released at cancel" false (Weak.check weak 0);
+  Alcotest.(check int) "no live events" 0 (Event_queue.length q);
+  Alcotest.(check bool) "queue drains" true (Event_queue.pop_due q ~now:(Time.s 10) = None)
+
+(* Entry handles keep the staleness rules of the old packed integers. *)
+let test_entry_handle_staleness () =
+  let q = Event_queue.create ~initial_capacity:1 () in
+  let fire () =
+    match Event_queue.pop_due q ~now:max_int with
+    | Some action -> action ()
+    | None -> Alcotest.fail "expected a due event"
+  in
+  (* Cancel after fire. *)
+  let fired = ref 0 in
+  let h1 = Event_queue.schedule q ~at:(Time.ms 1) (fun () -> incr fired) in
+  Alcotest.(check bool) "h1 pending" true (Event_queue.is_pending q h1);
+  fire ();
+  Alcotest.(check bool) "h1 fired, not pending" false (Event_queue.is_pending q h1);
+  Event_queue.cancel q h1;
+  Alcotest.(check bool) "cancel after fire stays inert" false (Event_queue.is_pending q h1);
+  Alcotest.(check int) "fired once" 1 !fired;
+  (* Double cancel. *)
+  let h2 = Event_queue.schedule q ~at:(Time.ms 2) (fun () -> incr fired) in
+  let h3 = Event_queue.schedule q ~at:(Time.ms 3) (fun () -> incr fired) in
+  Event_queue.cancel q h2;
+  Alcotest.(check bool) "h2 cancelled" false (Event_queue.is_pending q h2);
+  Event_queue.cancel q h2;
+  Alcotest.(check bool) "h2 still cancelled" false (Event_queue.is_pending q h2);
+  Alcotest.(check bool) "h3 untouched" true (Event_queue.is_pending q h3);
+  Alcotest.(check int) "one live" 1 (Event_queue.length q);
+  fire ();
+  Alcotest.(check int) "only h3 fired" 2 !fired;
+  (* An old handle after its slot was reused by a new event. *)
+  let h4 = Event_queue.schedule q ~at:(Time.ms 4) (fun () -> incr fired) in
+  List.iter
+    (fun (name, h) ->
+      Event_queue.cancel q h;
+      Alcotest.(check bool) (name ^ " stale") false (Event_queue.is_pending q h))
+    [ ("h1", h1); ("h2", h2); ("h3", h3) ];
+  Alcotest.(check bool) "h4 survives stale cancels" true (Event_queue.is_pending q h4);
+  Alcotest.(check bool) "none never pending" false (Event_queue.is_pending q Event_queue.none);
+  Event_queue.cancel q Event_queue.none;
+  Alcotest.(check bool) "h4 survives cancelling none" true (Event_queue.is_pending q h4);
+  fire ();
+  Alcotest.(check int) "h4 fired" 3 !fired;
+  Alcotest.(check bool) "h4 fired, not pending" false (Event_queue.is_pending q h4)
+
 (* Model-based property: random schedule/cancel/pop interleavings on
    the generation-stamped queue match a naive reference model (a list
    scanned for the earliest (time, seq) pending event). *)
@@ -193,6 +257,10 @@ let suite =
     Alcotest.test_case "fired events are not pending" `Quick test_fired_event_not_pending;
     Alcotest.test_case "stale handles cannot touch reused slots" `Quick
       test_stale_handle_cannot_touch_reused_slot;
+    Alcotest.test_case "cancel releases the captured closure" `Quick
+      test_cancel_releases_capture;
+    Alcotest.test_case "entry handles go stale after fire, cancel and reuse" `Quick
+      test_entry_handle_staleness;
     QCheck_alcotest.to_alcotest prop_fifo_among_equal_times;
     QCheck_alcotest.to_alcotest prop_cancel_never_fires;
     QCheck_alcotest.to_alcotest prop_matches_reference_model;

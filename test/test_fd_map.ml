@@ -10,7 +10,7 @@ module IntMap = Map.Make (Int)
 (* --- basics -------------------------------------------------------- *)
 
 let test_empty () =
-  let m : int Fd_map.t = Fd_map.create () in
+  let m : int Fd_map.t = Fd_map.create ~dummy:0 () in
   Alcotest.(check int) "length" 0 (Fd_map.length m);
   Alcotest.(check bool) "is_empty" true (Fd_map.is_empty m);
   Alcotest.(check bool) "mem" false (Fd_map.mem m 3);
@@ -22,7 +22,7 @@ let test_empty () =
   Alcotest.(check (list (pair int int))) "to_list" [] (Fd_map.to_list m)
 
 let test_set_find_remove () =
-  let m = Fd_map.create ~initial_capacity:4 () in
+  let m = Fd_map.create ~initial_capacity:4 ~dummy:"" () in
   Fd_map.set m 5 "a";
   Fd_map.set m 2 "b";
   Fd_map.set m 5 "c";
@@ -36,12 +36,12 @@ let test_set_find_remove () =
   Alcotest.(check (option string)) "survivor" (Some "b") (Fd_map.find m 2)
 
 let test_negative_key_rejected () =
-  let m = Fd_map.create () in
+  let m = Fd_map.create ~dummy:0 () in
   Alcotest.check_raises "set negative"
     (Invalid_argument "Fd_map.set: negative key") (fun () -> Fd_map.set m (-1) 0)
 
 let test_growth_past_capacity () =
-  let m = Fd_map.create ~initial_capacity:2 () in
+  let m = Fd_map.create ~initial_capacity:2 ~dummy:0 () in
   (* Keys far beyond the initial capacity, across several word
      boundaries of the occupancy bitmap. *)
   List.iter (fun k -> Fd_map.set m k (k * 10)) [ 0; 31; 32; 63; 64; 1000 ];
@@ -54,7 +54,7 @@ let test_growth_past_capacity () =
   Alcotest.(check (option int)) "max" (Some 1000) (Fd_map.max_key m)
 
 let test_clear_retains_storage () =
-  let m = Fd_map.create ~initial_capacity:4 () in
+  let m = Fd_map.create ~initial_capacity:4 ~dummy:0 () in
   List.iter (fun k -> Fd_map.set m k k) [ 1; 2; 3; 200 ];
   Fd_map.clear m;
   Alcotest.(check int) "empty after clear" 0 (Fd_map.length m);
@@ -71,7 +71,7 @@ let test_clear_retains_storage () =
 let test_insertion_permutation_invariant () =
   let keys = [ 9; 3; 31; 64; 0; 17; 32; 5 ] in
   let build order =
-    let m = Fd_map.create ~initial_capacity:2 () in
+    let m = Fd_map.create ~initial_capacity:2 ~dummy:"" () in
     List.iter (fun k -> Fd_map.set m k (string_of_int k)) order;
     (* Churn: remove and re-add a couple of keys so resize/removal
        history differs between permutations too. *)
@@ -93,7 +93,7 @@ let test_insertion_permutation_invariant () =
 (* --- mutation during iteration ------------------------------------- *)
 
 let test_remove_current_during_iter () =
-  let m = Fd_map.create () in
+  let m = Fd_map.create ~dummy:0 () in
   List.iter (fun k -> Fd_map.set m k k) [ 1; 4; 9 ];
   let visited = ref [] in
   Fd_map.iter m (fun k _ ->
@@ -103,7 +103,7 @@ let test_remove_current_during_iter () =
   Alcotest.(check int) "all removed" 0 (Fd_map.length m)
 
 let test_remove_upcoming_during_iter () =
-  let m = Fd_map.create () in
+  let m = Fd_map.create ~dummy:0 () in
   List.iter (fun k -> Fd_map.set m k k) [ 1; 4; 9; 40 ];
   let visited = ref [] in
   Fd_map.iter m (fun k _ ->
@@ -118,7 +118,7 @@ let test_remove_upcoming_during_iter () =
   Alcotest.(check int) "two survive" 2 (Fd_map.length m)
 
 let test_add_during_iter () =
-  let m = Fd_map.create ~initial_capacity:4 () in
+  let m = Fd_map.create ~initial_capacity:4 ~dummy:0 () in
   List.iter (fun k -> Fd_map.set m k k) [ 2; 6 ];
   let visited = ref [] in
   Fd_map.iter m (fun k _ ->
@@ -164,7 +164,7 @@ let prop_model_equivalence =
        ~print:(fun ops -> String.concat "; " (List.map op_print ops))
        QCheck.Gen.(list_size (int_bound 60) op_gen))
     (fun ops ->
-      let m = Fd_map.create ~initial_capacity:1 () in
+      let m = Fd_map.create ~initial_capacity:1 ~dummy:0 () in
       let model = ref IntMap.empty in
       List.iter
         (fun op ->
@@ -199,9 +199,37 @@ let prop_model_equivalence =
       && Fd_map.fold m ~init:[] ~f:(fun acc k v -> (k, v) :: acc)
          = List.rev (IntMap.bindings !model))
 
+(* Values are stored unboxed: [get] answers the filler for unbound
+   keys, allocates nothing, and a removed value is not kept alive. *)
+let[@inline never] bind_fresh m k weak =
+  let v = Bytes.make 8 'v' in
+  Weak.set weak 0 (Some v);
+  Fd_map.set m k v
+
+let test_get_is_unboxed () =
+  let dummy = Bytes.empty in
+  let m = Fd_map.create ~initial_capacity:4 ~dummy () in
+  Alcotest.(check bool) "unbound reads the dummy" true (Fd_map.get m 3 == dummy);
+  Alcotest.(check bool) "negative reads the dummy" true (Fd_map.get m (-1) == dummy);
+  Alcotest.(check bool) "past capacity reads the dummy" true (Fd_map.get m 1000 == dummy);
+  let weak = Weak.create 1 in
+  bind_fresh m 3 weak;
+  Alcotest.(check bool) "bound value" true
+    (match Weak.get weak 0 with Some v -> Fd_map.get m 3 == v | None -> false);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Fd_map.get m 3))
+  done;
+  Alcotest.(check bool) "get allocates nothing" true (Gc.minor_words () -. w0 < 16.);
+  ignore (Fd_map.remove m 3);
+  Alcotest.(check bool) "removed reads the dummy" true (Fd_map.get m 3 == dummy);
+  Gc.full_major ();
+  Alcotest.(check bool) "removed value released" false (Weak.check weak 0)
+
 let suite =
   [
     Alcotest.test_case "empty map" `Quick test_empty;
+    Alcotest.test_case "get is unboxed and answers the dummy" `Quick test_get_is_unboxed;
     Alcotest.test_case "set/find/remove/replace" `Quick test_set_find_remove;
     Alcotest.test_case "negative keys rejected" `Quick test_negative_key_rejected;
     Alcotest.test_case "growth past initial capacity" `Quick test_growth_past_capacity;

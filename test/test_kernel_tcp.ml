@@ -13,7 +13,7 @@ let test_connect_accept_roundtrip () =
   Engine.run rig.engine;
   Alcotest.(check bool) "client established" true !established;
   Alcotest.(check int) "accept queue" 1 (Socket.accept_queue_length rig.listener);
-  match Kernel.accept rig.proc rig.listen_fd with
+  match Helpers.accept rig.proc rig.listen_fd with
   | Ok (fd, sock) ->
       Alcotest.(check bool) "fresh fd" true (fd > rig.listen_fd);
       Alcotest.(check bool) "established sock" true (Socket.state sock = Socket.Established);
@@ -22,7 +22,7 @@ let test_connect_accept_roundtrip () =
 
 let test_accept_empty_queue_eagain () =
   let rig = Helpers.mk_rig () in
-  match Kernel.accept rig.proc rig.listen_fd with
+  match Helpers.accept rig.proc rig.listen_fd with
   | Error `Eagain -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Eagain"
 
@@ -38,11 +38,12 @@ let test_request_reaches_server () =
   | Some c -> Tcp.client_send c ~bytes_len:18 ~payload:"GET / HTTP/1.0\r\n\r\n"
   | None -> Alcotest.fail "no connection");
   Engine.run rig.engine;
-  let fd, _sock = Helpers.ok (Kernel.accept rig.proc rig.listen_fd) in
-  match Kernel.read rig.proc fd with
-  | Ok (Kernel.Data (text, bytes)) ->
-      Alcotest.(check string) "payload" "GET / HTTP/1.0\r\n\r\n" text;
-      Alcotest.(check int) "bytes" 18 bytes
+  let fd, _sock = Helpers.ok (Helpers.accept rig.proc rig.listen_fd) in
+  let rbuf = Kernel.read_buf () in
+  match Kernel.read rig.proc fd ~into:rbuf with
+  | Ok Kernel.Data ->
+      Alcotest.(check string) "payload" "GET / HTTP/1.0\r\n\r\n" rbuf.Kernel.text;
+      Alcotest.(check int) "bytes" 18 rbuf.Kernel.bytes
   | Ok _ | Error _ -> Alcotest.fail "expected data"
 
 let test_response_reaches_client () =
@@ -58,7 +59,7 @@ let test_response_reaches_client () =
   in
   let _ = Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers () in
   Engine.run rig.engine;
-  let fd, _ = Helpers.ok (Kernel.accept rig.proc rig.listen_fd) in
+  let fd, _ = Helpers.ok (Helpers.accept rig.proc rig.listen_fd) in
   let written = Helpers.ok (Kernel.write rig.proc fd ~bytes_len:6144) in
   Alcotest.(check int) "write accepted" 6144 written;
   Engine.run rig.engine;
@@ -70,11 +71,11 @@ let test_server_close_fin () =
   let handlers = { Tcp.null_handlers with on_server_fin = (fun _ -> fin := true) } in
   let _ = Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers () in
   Engine.run rig.engine;
-  let fd, _ = Helpers.ok (Kernel.accept rig.proc rig.listen_fd) in
+  let fd, _ = Helpers.ok (Helpers.accept rig.proc rig.listen_fd) in
   ignore (Helpers.ok (Kernel.close rig.proc fd));
   Engine.run rig.engine;
   Alcotest.(check bool) "client saw FIN" true !fin;
-  match Kernel.read rig.proc fd with
+  match Helpers.read rig.proc fd with
   | Error `Ebadf -> ()
   | Ok _ | Error _ -> Alcotest.fail "fd should be closed"
 
@@ -84,10 +85,10 @@ let test_client_close_eof () =
   let handlers = { Tcp.null_handlers with on_established = (fun c -> conn := Some c) } in
   let _ = Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers () in
   Engine.run rig.engine;
-  let fd, _ = Helpers.ok (Kernel.accept rig.proc rig.listen_fd) in
+  let fd, _ = Helpers.ok (Helpers.accept rig.proc rig.listen_fd) in
   (match !conn with Some c -> Tcp.client_close c | None -> Alcotest.fail "no conn");
   Engine.run rig.engine;
-  match Kernel.read rig.proc fd with
+  match Helpers.read rig.proc fd with
   | Ok Kernel.Eof -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected EOF"
 
@@ -97,10 +98,10 @@ let test_client_abort_resets () =
   let handlers = { Tcp.null_handlers with on_established = (fun c -> conn := Some c) } in
   let _ = Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers () in
   Engine.run rig.engine;
-  let fd, _ = Helpers.ok (Kernel.accept rig.proc rig.listen_fd) in
+  let fd, _ = Helpers.ok (Helpers.accept rig.proc rig.listen_fd) in
   (match !conn with Some c -> Tcp.client_abort c | None -> Alcotest.fail "no conn");
   Engine.run rig.engine;
-  match Kernel.read rig.proc fd with
+  match Helpers.read rig.proc fd with
   | Ok Kernel.Econnreset -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected ECONNRESET"
 
@@ -130,10 +131,10 @@ let test_fd_exhaustion_on_accept () =
   ignore (Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers ());
   ignore (Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers ());
   Engine.run rig.engine;
-  (match Kernel.accept rig.proc rig.listen_fd with
+  (match Helpers.accept rig.proc rig.listen_fd with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "first accept should fit");
-  (match Kernel.accept rig.proc rig.listen_fd with
+  (match Helpers.accept rig.proc rig.listen_fd with
   | Error `Emfile -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Emfile");
   Engine.run rig.engine;
@@ -189,7 +190,7 @@ let test_devpoll_via_syscalls () =
   let handlers = { Tcp.null_handlers with on_established = (fun c -> conn := Some c) } in
   let _ = Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers () in
   Engine.run rig.engine;
-  let fd, _ = Helpers.ok (Kernel.accept rig.proc rig.listen_fd) in
+  let fd, _ = Helpers.ok (Helpers.accept rig.proc rig.listen_fd) in
   let dpfd = Helpers.ok (Kernel.devpoll_open rig.proc) in
   ignore (Helpers.ok (Kernel.devpoll_write rig.proc dpfd [ (fd, Pollmask.pollin) ]));
   let got = ref [] in
@@ -213,7 +214,7 @@ let test_rt_signals_via_syscalls () =
   let handlers = { Tcp.null_handlers with on_established = (fun c -> conn := Some c) } in
   let _ = Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers () in
   Engine.run rig.engine;
-  let fd, _ = Helpers.ok (Kernel.accept rig.proc rig.listen_fd) in
+  let fd, _ = Helpers.ok (Helpers.accept rig.proc rig.listen_fd) in
   ignore (Helpers.ok (Kernel.fcntl_setsig rig.proc fd ~signo:Rt_signal.sigrtmin));
   let got = ref None in
   Kernel.sigwaitinfo rig.proc ~k:(fun d -> got := Some d);

@@ -132,16 +132,36 @@ let test_release_send_space_pollout_edge () =
   Alcotest.(check bool) "writable again" true
     (Pollmask.mem Pollmask.pollout (Socket.status s))
 
+(* The socket's output path toward its TCP peer: committed bytes reach
+   the client and free send-buffer space when the wire has carried
+   them, and close sends a FIN. *)
 let test_transport_hooks () =
-  let _, host = mk () in
-  let s = Socket.create_established ~host in
+  let rig = Helpers.mk_rig () in
   let sent = ref 0 and closed = ref false in
-  Socket.set_transport s ~on_send:(fun n -> sent := n) ~on_close:(fun () -> closed := true);
+  let handlers =
+    {
+      Tcp.null_handlers with
+      Tcp.on_bytes = (fun _ n -> sent := !sent + n);
+      on_server_fin = (fun _ -> closed := true);
+    }
+  in
+  let conn = Tcp.connect ~net:rig.Helpers.net ~listener:rig.Helpers.listener ~handlers () in
+  Helpers.run_until_quiet rig.Helpers.engine;
+  let s =
+    match Tcp.server_socket conn with
+    | Some s -> s
+    | None -> Alcotest.fail "SYN not accepted"
+  in
+  Alcotest.(check bool) "socket points at its peer" true (Socket.peer s == conn);
   ignore (Socket.write_reserve s 50);
   Socket.transport_send s 50;
-  Alcotest.(check int) "on_send" 50 !sent;
+  Alcotest.(check int) "nothing before the wire" 0 !sent;
+  Helpers.run_until_quiet rig.Helpers.engine;
+  Alcotest.(check int) "bytes reached the client" 50 !sent;
+  Alcotest.check m "send space released" Pollmask.pollout (Socket.status s);
   Socket.close s;
-  Alcotest.(check bool) "on_close" true !closed
+  Helpers.run_until_quiet rig.Helpers.engine;
+  Alcotest.(check bool) "FIN reached the client" true !closed
 
 let test_driver_poll_counts () =
   let _, host = mk () in

@@ -17,7 +17,7 @@ let test_data_before_fin () =
   in
   let _ = Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers () in
   Engine.run ~until:(Time.ms 5) rig.engine;
-  let fd, _ = Helpers.ok (Kernel.accept rig.proc rig.listen_fd) in
+  let fd, _ = Helpers.ok (Helpers.accept rig.proc rig.listen_fd) in
   ignore (Helpers.ok (Kernel.write rig.proc fd ~bytes_len:6144));
   ignore (Helpers.ok (Kernel.close rig.proc fd));
   Engine.run ~until:(Time.s 1) rig.engine;
@@ -33,7 +33,7 @@ let test_writes_arrive_in_order () =
   in
   let _ = Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers () in
   Engine.run ~until:(Time.ms 5) rig.engine;
-  let fd, _ = Helpers.ok (Kernel.accept rig.proc rig.listen_fd) in
+  let fd, _ = Helpers.ok (Helpers.accept rig.proc rig.listen_fd) in
   List.iter
     (fun n -> ignore (Helpers.ok (Kernel.write rig.proc fd ~bytes_len:n)))
     [ 100; 200; 300 ];
@@ -47,7 +47,7 @@ let test_send_buffer_backpressure () =
   let handlers = Tcp.null_handlers in
   let _ = Tcp.connect ~net:rig.net ~listener:rig.listener ~handlers () in
   Engine.run ~until:(Time.ms 5) rig.engine;
-  let fd, _ = Helpers.ok (Kernel.accept rig.proc rig.listen_fd) in
+  let fd, _ = Helpers.ok (Helpers.accept rig.proc rig.listen_fd) in
   let first = Helpers.ok (Kernel.write rig.proc fd ~bytes_len:60_000) in
   let second = Helpers.ok (Kernel.write rig.proc fd ~bytes_len:60_000) in
   Alcotest.(check int) "first fits" 60_000 first;

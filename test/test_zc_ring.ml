@@ -98,7 +98,7 @@ let accepted_conn ?mem_limit () =
   in
   ignore (Tcp.connect ~net ~listener ~handlers ());
   Engine.run engine;
-  let fd, sock = Helpers.ok (Kernel.accept proc listen_fd) in
+  let fd, sock = Helpers.ok (Helpers.accept proc listen_fd) in
   (engine, host, proc, listen_fd, fd, sock, Option.get !conn, received)
 
 let test_ring_attach_errors () =
