@@ -80,13 +80,14 @@ bench-micro: build
 bench-check: build
 	dune exec bench/bench_micro_main.exe -- --check BENCH_micro.json
 
-# Allocation gate on the repository benchmark's poll-heavy and
-# request-path workloads: run one paper-501 and one cluster-8x
-# repetition (seed 42) and fail if either allocates more minor-heap
-# words than its ceiling in BENCH_alloc.json (the measured value + 3 %).
+# Allocation gate on the repository benchmark's workloads: run one
+# paper-501 (poll-heavy), cluster-8x (request path) and idle-100k
+# (100k idle connections, the most pending events) repetition at
+# seed 42 and fail if any allocates more minor-heap words than its
+# ceiling in BENCH_alloc.json (the measured value + 3 %).
 # Unlike wall time, allocation does not move with machine load, so the
 # margin is narrow.
-ALLOC_WORKLOADS = paper-501 cluster-8x
+ALLOC_WORKLOADS = paper-501 cluster-8x idle-100k
 
 alloc-check: build
 	@status=0; for w in $(ALLOC_WORKLOADS); do \

@@ -31,6 +31,29 @@ let event_queue_cycle =
          ignore (Engine.after e 10 (fun () -> ()));
          ignore (Engine.step e)))
 
+(* The same cycles beside 10k far-future events, so each schedule,
+   fire and cancel walks a heap of realistic depth: the new event is
+   the earliest, so it sifts to the root, and firing or cancelling it
+   sifts the heap's last node back down. *)
+let deep_engine () =
+  let e = Engine.create () in
+  for i = 0 to 9_999 do
+    ignore (Engine.at e (Time.s 1000 + i) (fun () -> ()))
+  done;
+  e
+
+let event_queue_cycle_deep =
+  Test.make ~name:"event schedule+fire (10k pending)"
+    (let e = deep_engine () in
+     warmed (fun () ->
+         ignore (Engine.after e 10 (fun () -> ()));
+         ignore (Engine.step e)))
+
+let event_queue_cancel_deep =
+  Test.make ~name:"event schedule+cancel (10k pending)"
+    (let e = deep_engine () in
+     warmed (fun () -> Engine.cancel e (Engine.after e 10 (fun () -> ()))))
+
 let interest_set_replace =
   Test.make ~name:"interest_table set (replace, 1k)"
     (let t = Interest_table.create () in
@@ -403,6 +426,8 @@ let tests =
     [
       heap_push_pop;
       event_queue_cycle;
+      event_queue_cycle_deep;
+      event_queue_cancel_deep;
       interest_set_replace;
       interest_find;
       poll_scan 100;

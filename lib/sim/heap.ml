@@ -6,11 +6,10 @@ type 'a t = {
   mutable size : int;
 }
 (* Slots at indices >= size always hold [dummy]: [pop] and [clear]
-   erase vacated slots so the heap never pins popped elements
-   (Event_queue stores action closures here — a stale reference keeps
-   everything the closure captured alive until the slot happens to be
-   overwritten). Storing elements unboxed, with a filler instead of
-   [None], saves an option block per push. *)
+   erase vacated slots so the heap never pins popped elements (a stale
+   reference keeps everything the element reaches alive until the slot
+   happens to be overwritten). Storing elements unboxed, with a filler
+   instead of [None], saves an option block per push. *)
 
 let create ?(initial_capacity = 16) ~leq ~dummy () =
   let initial_capacity = Stdlib.max 1 initial_capacity in

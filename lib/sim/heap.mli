@@ -1,9 +1,10 @@
 (** Array-based binary min-heap.
 
-    The event queue sits on the hot path of every simulation, so the
-    heap is imperative and allocation-light: one growable array, no
+    Imperative and allocation-light: one growable array, no
     per-element boxing beyond the stored value itself. Ordering is
-    supplied at creation time. *)
+    supplied at creation time. The RT-signal queue and the cluster's
+    least-loaded steering use it; the event queue has its own flat
+    int-keyed heap ({!Event_queue}). *)
 
 type 'a t
 

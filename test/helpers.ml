@@ -58,3 +58,12 @@ let read proc fd = Kernel.read proc fd ~into:(Kernel.read_buf ())
 let ok = function
   | Ok v -> v
   | Error _ -> Alcotest.fail "expected Ok"
+
+(* Minor words allocated by [n] calls of [f]; the two readings cost a
+   few words in all. *)
+let minor_words_of n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Gc.minor_words () -. w0

@@ -135,8 +135,9 @@ let test_cancel_releases_capture () =
   Alcotest.(check int) "no live events" 0 (Event_queue.length q);
   Alcotest.(check bool) "queue drains" true (Event_queue.pop_due q ~now:(Time.s 10) = None)
 
-(* Entry handles keep the staleness rules of the old packed integers. *)
-let test_entry_handle_staleness () =
+(* Handles go stale after fire, after cancel and when their slot is
+   reused. *)
+let test_handle_staleness () =
   let q = Event_queue.create ~initial_capacity:1 () in
   let fire () =
     match Event_queue.pop_due q ~now:max_int with
@@ -249,6 +250,120 @@ let prop_matches_reference_model =
         ops;
       !ok)
 
+(* A deep heap under heavy cancellation: 500-700 events over 16
+   distinct times, then a run of random ops that mostly cancel pending
+   events wherever they sit in the heap. Removing an interior node
+   moves the heap's last node into the hole, and with this many equal
+   and near-equal times that node often precedes the hole's parent, so
+   a removal that only sifted down would leave the heap out of order;
+   every pop, and the final drain, is checked against the model's
+   (time, scheduling order). *)
+let prop_deep_heap_cancel =
+  QCheck.Test.make ~name:"cancelling interior events of a deep heap keeps (time, seq) order"
+    ~count:60
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 500 700) (int_bound 15))
+        (list_of_size Gen.(int_range 300 600) (int_bound 1_000_000)))
+    (fun (times, ops) ->
+      let q = Event_queue.create ~initial_capacity:1 () in
+      let cap = List.length times + List.length ops in
+      let at = Array.make cap 0 in
+      let handles = Array.make cap Event_queue.none in
+      let pending = Array.make cap false in
+      let scheduled = ref 0 in
+      let last_fired = ref (-1) in
+      let schedule t =
+        let i = !scheduled in
+        at.(i) <- t;
+        handles.(i) <- Event_queue.schedule q ~at:t (fun () -> last_fired := i);
+        pending.(i) <- true;
+        incr scheduled
+      in
+      (* The model's next event: least (time, scheduling index). *)
+      let earliest () =
+        let best = ref (-1) in
+        for i = 0 to !scheduled - 1 do
+          if pending.(i) && (!best < 0 || at.(i) < at.(!best)) then best := i
+        done;
+        !best
+      in
+      let ok = ref true in
+      let expect cond = if not cond then ok := false in
+      let pop () =
+        let e = earliest () in
+        match Event_queue.pop_due q ~now:max_int with
+        | Some action ->
+            action ();
+            expect (!last_fired = e);
+            if e >= 0 then pending.(e) <- false
+        | None -> expect (e < 0)
+      in
+      List.iter schedule times;
+      let now = ref 0 in
+      List.iter
+        (fun v ->
+          match v mod 8 with
+          | 0 ->
+              let e = earliest () in
+              if e >= 0 then now := at.(e);
+              pop ()
+          | 1 -> schedule (!now + (v / 8 mod 16))
+          | _ ->
+              (* Cancel the first pending event at or after a random
+                 index: interior nodes as often as leaves. *)
+              let n = !scheduled in
+              let start = v / 8 mod n in
+              let rec find k =
+                if k < n then
+                  let i = (start + k) mod n in
+                  if pending.(i) then i else find (k + 1)
+                else -1
+              in
+              let i = find 0 in
+              if i >= 0 then begin
+                Event_queue.cancel q handles.(i);
+                pending.(i) <- false
+              end)
+        ops;
+      let live = Array.fold_left (fun n p -> if p then n + 1 else n) 0 pending in
+      expect (Event_queue.length q = live);
+      for i = 0 to !scheduled - 1 do
+        expect (Event_queue.is_pending q handles.(i) = pending.(i))
+      done;
+      for _ = 1 to live do
+        pop ()
+      done;
+      expect (Event_queue.is_empty q);
+      !ok)
+
+(* Scheduling a pre-built closure, cancelling, peeking and popping
+   allocate nothing once the queue's arrays have grown to the working
+   population. *)
+let test_steady_state_allocates_nothing () =
+  let q = Event_queue.create () in
+  let action = Sys.opaque_identity (fun () -> ()) in
+  for i = 1 to 1000 do
+    ignore (Event_queue.schedule q ~at:(i mod 97) action)
+  done;
+  let t = ref 100 in
+  let round () =
+    incr t;
+    let h = Event_queue.schedule q ~at:(!t + 50) action in
+    ignore (Sys.opaque_identity (Event_queue.schedule q ~at:!t action));
+    Event_queue.cancel q h;
+    ignore (Sys.opaque_identity (Event_queue.peek_time q));
+    let a = Event_queue.pop_next q in
+    a ()
+  in
+  ignore (Helpers.minor_words_of 1000 round);
+  let n = 10_000 in
+  let words = Helpers.minor_words_of n round in
+  if words > 16. then
+    Alcotest.failf "schedule+cancel+peek_time+pop_next allocated %.0f minor words over %d rounds"
+      words n;
+  Alcotest.(check int) "population unchanged" 1000 (Event_queue.length q)
+
 let suite =
   [
     Alcotest.test_case "schedule and pop_due" `Quick test_schedule_pop_due;
@@ -259,9 +374,12 @@ let suite =
       test_stale_handle_cannot_touch_reused_slot;
     Alcotest.test_case "cancel releases the captured closure" `Quick
       test_cancel_releases_capture;
-    Alcotest.test_case "entry handles go stale after fire, cancel and reuse" `Quick
-      test_entry_handle_staleness;
+    Alcotest.test_case "handles go stale after fire, cancel and reuse" `Quick
+      test_handle_staleness;
+    Alcotest.test_case "steady-state operations allocate nothing" `Quick
+      test_steady_state_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_fifo_among_equal_times;
     QCheck_alcotest.to_alcotest prop_cancel_never_fires;
     QCheck_alcotest.to_alcotest prop_matches_reference_model;
+    QCheck_alcotest.to_alcotest prop_deep_heap_cancel;
   ]

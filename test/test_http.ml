@@ -147,21 +147,12 @@ let test_response_bytes_match_printf () =
         (Http.response_bytes ~body_bytes))
     [ 0; 9; 10; 6144; 1_000_000 ]
 
-(* Minor words allocated by [n] calls of [f]; the two readings cost a
-   few words in all. *)
-let minor_words_of n f =
-  let w0 = Gc.minor_words () in
-  for _ = 1 to n do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  Gc.minor_words () -. w0
-
 let test_hot_calls_allocate_nothing () =
   let request = Http.build_request ~path:"/index.html" in
   let partial = String.sub request 0 (String.length request - 1) in
   let n = 10_000 in
   let check name f =
-    let words = minor_words_of n f in
+    let words = Helpers.minor_words_of n f in
     if words > 16. then
       Alcotest.failf "%s allocated %.0f minor words over %d calls" name words n
   in
